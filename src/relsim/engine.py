@@ -1,19 +1,18 @@
 """Deterministic synchronous round scheduler.
 
 Each round advances all live, unhalted processors through nine steps (three
-stages of send/receive/compute).  Messages sent in a step are delivered at
-that stage's receive step; messages addressed to crashed or halted
-processors are dropped and counted.  The reference semantics are
-single-threaded with processors iterated in id order; identical configs
-(including the seed) produce bit-identical results because every random
-draw comes from a counter-based stream keyed by (seed, processor, round,
-stage).
+stages of send/receive/compute), each step one whole-population transition
+of :mod:`.protocol`.  Messages sent in a step are delivered at that stage's
+receive step; messages addressed to crashed or halted processors are dropped
+and counted.  Identical configs (including the seed) produce bit-identical
+results because every random draw comes from a counter-based stream keyed by
+(seed, processor, round, stage), evaluated a window of rounds at a time by
+:class:`.streams.StreamWindow`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,89 +39,18 @@ from .adversary import (
 from .estimator import EstimationParams, gamma1
 from .knowledge import RecordPool
 from .metrics import RunMetrics
-from .protocol import (
-    Profess,
-    ProcessorState,
-    Share,
-    TaskRequest,
-    TaskResponse,
-    ceil_log2,
-)
+from .protocol import Messages, Population, ceil_log2
+from .streams import SEED_LIMIT, StreamWindow, rng_stream
 from .trace import TraceCollector
 
-STAGES = ("query", "response", "gossip")
-STEPS = ("send", "receive", "compute")
 
-_STAGE_CODE = {"query": 0, "response": 1, "gossip": 2}
 # Reserved stream lanes for pre-run adversary draws; protocol stages use 0-2.
 _LANE_RELIABILITY = 8
 _LANE_CRASHES = 9
 
-_MASK64 = (1 << 64) - 1
-
 
 class ConfigError(ValueError):
     """Run configuration outside its valid domain."""
-
-
-def _stream_key(pid: int, rnd: int, stage) -> int:
-    code = _STAGE_CODE.get(stage, stage)
-    if not 0 <= code < 16:
-        raise ValueError(f"invalid stage {stage!r}")
-    if not 0 <= pid < (1 << 30) or not 0 <= rnd < (1 << 30):
-        raise ValueError("processor id and round must fit in 30 bits")
-    return (pid << 34) | (rnd << 4) | code
-
-
-def rng_stream(seed: int, pid: int, rnd: int, stage) -> np.random.Generator:
-    """Independent random stream for one (seed, processor, round, stage) key.
-
-    Counter-based (Philox), so construction is O(1) and streams for distinct
-    keys are independent by design.  Draws within a stage are consumed in a
-    fixed documented order, which keeps parallel per-processor execution
-    observationally identical to the sequential reference.
-    """
-    word = _stream_key(pid, rnd, stage)
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, word]))
-
-
-class _StreamPool:
-    """Per-processor Philox generators re-keyed in place per (round, stage).
-
-    Re-keying through the state setter skips the entropy pull of a fresh
-    construction while producing bit-identical draws to
-    :func:`rng_stream`; the equivalence is covered by a test.
-    """
-
-    def __init__(self, seed: int, n: int):
-        self._seed = seed & _MASK64
-        self._template = np.random.Philox(key=[0, 0]).state
-        self._bitgens: list = [None] * n
-        self._gens: list = [None] * n
-
-    def get(self, pid: int, rnd: int, stage) -> np.random.Generator:
-        word = _stream_key(pid, rnd, stage)
-        bitgen = self._bitgens[pid]
-        if bitgen is None:
-            bitgen = np.random.Philox(key=[0, 0])
-            self._bitgens[pid] = bitgen
-            self._gens[pid] = np.random.Generator(bitgen)
-        state = dict(self._template)
-        state["state"] = {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([self._seed, word], dtype=np.uint64),
-        }
-        bitgen.state = state
-        return self._gens[pid]
-
-
-@dataclass(frozen=True)
-class StepClock:
-    """Position of the global synchronous clock."""
-
-    round: int
-    stage: str
-    step: str
 
 
 @dataclass(frozen=True)
@@ -252,6 +180,161 @@ def _reliability_from_dict(data: dict) -> ReliabilitySpec:
     raise ConfigError(f"unknown reliability kind {kind!r}")
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything that determines a run, including the adversary's seed."""
+
+    n: int
+    params: EstimationParams
+    model: AdversaryModel = LinearFraction(0.25)
+    crash_pattern: CrashPattern = NoCrashes()
+    reliability: ReliabilitySpec = ConstantReliability(1.0)
+    seed: int = 0
+    max_rounds: Optional[int] = None
+    # Selects comparing a processor's priority against shares as well as
+    # professes on gossip receive.  Shares carry level 0, so that never
+    # changes a run; the field stays so that configs round-trip unchanged.
+    literal_ell_reset: bool = False
+
+    def effective_max_rounds(self) -> int:
+        if self.max_rounds is not None:
+            return self.max_rounds
+        if isinstance(self.model, LinearFraction):
+            return 64 * max(1, ceil_log2(self.n))
+        return 8 * self.n
+
+    def validate(self) -> None:
+        if self.n < 1:
+            raise ConfigError(f"n must be >= 1, got {self.n}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if gamma1(self.params) <= 1.0:
+            raise ConfigError(
+                "stopping threshold must exceed 1; pick a smaller delta"
+            )
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "epsilon": self.params.epsilon,
+            "delta": self.params.delta,
+            "model": _model_to_dict(self.model),
+            "crash_pattern": _pattern_to_dict(self.crash_pattern),
+            "reliability": _reliability_to_dict(self.reliability),
+            "seed": self.seed,
+            "max_rounds": self.max_rounds,
+            "literal_ell_reset": self.literal_ell_reset,
+        }
+
+    @staticmethod
+    def from_dict(data: dict) -> "RunConfig":
+        """Inverse of :meth:`to_dict`; unknown or missing keys are errors."""
+        _check_keys(data, _CONFIG_KEYS, "config")
+        try:
+            return RunConfig(
+                n=int(data["n"]),
+                params=EstimationParams(float(data["epsilon"]), float(data["delta"])),
+                model=_model_from_dict(data.get("model", {"kind": "lf", "f": 0.25})),
+                crash_pattern=_pattern_from_dict(
+                    data.get("crash_pattern", {"kind": "none"})
+                ),
+                reliability=_reliability_from_dict(
+                    data.get("reliability", {"kind": "constant", "p": 1.0})
+                ),
+                seed=int(data.get("seed", 0)),
+                max_rounds=(
+                    int(data["max_rounds"]) if data.get("max_rounds") is not None else None
+                ),
+                literal_ell_reset=bool(data.get("literal_ell_reset", False)),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed config: {exc!r}") from exc
+
+
+_CONFIG_KEYS = ("n", "epsilon", "delta", "model", "crash_pattern", "reliability",
+                "seed", "max_rounds", "literal_ell_reset")
+_MODEL_KEYS = {"lf": ("f",), "fp": ("a", "coeff"), "pl": ("c", "coeff")}
+_PATTERN_KEYS = {"none": (), "upfront": (), "spread": ("rounds",)}
+_RELIABILITY_KEYS = {"constant": ("p",), "uniform": ("lo", "hi"),
+                     "explicit": ("values",)}
+
+
+def _check_keys(data, allowed, what: str) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}; allowed: {list(allowed)}")
+
+
+def _kind(data, table: dict, what: str) -> str:
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in table:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    _check_keys(data, ("kind",) + table[kind], f"{kind} {what}")
+    return kind
+
+
+def _model_to_dict(model: AdversaryModel) -> dict:
+    if isinstance(model, LinearFraction):
+        return {"kind": "lf", "f": model.f}
+    if isinstance(model, FractionalPolynomial):
+        return {"kind": "fp", "a": model.a, "coeff": model.coeff}
+    if isinstance(model, PolyLog):
+        return {"kind": "pl", "c": model.c, "coeff": model.coeff}
+    raise ConfigError(f"unknown model {model!r}")
+
+
+def _model_from_dict(data: dict) -> AdversaryModel:
+    kind = _kind(data, _MODEL_KEYS, "model")
+    if kind == "lf":
+        return LinearFraction(float(data.get("f", 0.25)))
+    if kind == "fp":
+        return FractionalPolynomial(float(data.get("a", 0.5)),
+                                    float(data.get("coeff", 1.0)))
+    return PolyLog(float(data.get("c", 1.0)), float(data.get("coeff", 1.0)))
+
+
+def _pattern_to_dict(pattern: CrashPattern) -> dict:
+    if isinstance(pattern, NoCrashes):
+        return {"kind": "none"}
+    if isinstance(pattern, UpfrontCrashes):
+        return {"kind": "upfront"}
+    if isinstance(pattern, SpreadCrashes):
+        return {"kind": "spread", "rounds": pattern.rounds}
+    raise ConfigError(f"unknown crash pattern {pattern!r}")
+
+
+def _pattern_from_dict(data: dict) -> CrashPattern:
+    kind = _kind(data, _PATTERN_KEYS, "crash pattern")
+    if kind == "none":
+        return NoCrashes()
+    if kind == "upfront":
+        return UpfrontCrashes()
+    return SpreadCrashes(int(data["rounds"]))
+
+
+def _reliability_to_dict(spec: ReliabilitySpec) -> dict:
+    if isinstance(spec, ConstantReliability):
+        return {"kind": "constant", "p": spec.p}
+    if isinstance(spec, UniformReliability):
+        return {"kind": "uniform", "lo": spec.lo, "hi": spec.hi}
+    if isinstance(spec, ExplicitReliability):
+        return {"kind": "explicit", "values": list(spec.values)}
+    raise ConfigError(f"unknown reliability spec {spec!r}")
+
+
+def _reliability_from_dict(data: dict) -> ReliabilitySpec:
+    kind = _kind(data, _RELIABILITY_KEYS, "reliability")
+    if kind == "constant":
+        return ConstantReliability(float(data["p"]))
+    if kind == "uniform":
+        return UniformReliability(float(data["lo"]), float(data["hi"]))
+    return ExplicitReliability(tuple(float(v) for v in data["values"]))
+
+
 @dataclass
 class RunResult:
     """Outcome of one run.
@@ -270,50 +353,31 @@ class RunResult:
     truth: ReliabilityAssignment
     schedule: CrashSchedule
     trace: Optional[TraceCollector] = None
-    # Populated only when run(..., keep_states=True); diagnostic access to
-    # final processor states and the shared record pool.
-    states: Optional[list[ProcessorState]] = None
+    # Populated only when run(..., keep_states=True): the final knowledge
+    # matrix (row i is processor i's) and the shared record pool.
+    known: Optional[np.ndarray] = None
     pool: Optional[RecordPool] = None
 
 
 def deliver(
-    sends: list[tuple[int, object, int]],
-    schedule: CrashSchedule,
-    states: list[ProcessorState],
-    rnd: int,
-    metrics: RunMetrics,
-) -> tuple[dict[int, list], list[tuple[int, object, str]]]:
-    """Route sent messages to inboxes, dropping dead destinations.
+    messages: Messages, pop: Population, rnd: int, metrics: RunMetrics
+) -> tuple[Messages, Messages]:
+    """Route one step's messages, dropping those to dead destinations.
 
-    ``sends`` holds (destination, message, sender) triples.  Messages to
-    processors crashed at or before this round, or already halted, are
-    dropped and counted; everything else is delivered exactly once, in send
-    order.  Returns (destination id -> message list, drop ledger), the
-    latter as (destination, message, reason) triples.
+    Messages to processors crashed at or before this round, or already
+    halted, are dropped and counted; everything else is delivered exactly
+    once.  Returns (delivered, dropped), each in send order.
     """
-    inboxes: dict[int, list] = {}
-    dropped: list[tuple[int, object, str]] = []
-    for dest, message, _sender in sends:
-        if not schedule.is_live(dest, rnd):
-            metrics.dropped_to_crashed += 1
-            dropped.append((dest, message, "crashed"))
-        elif states[dest].halted:
-            metrics.dropped_to_halted += 1
-            dropped.append((dest, message, "halted"))
-        else:
-            metrics.delivered += 1
-            inboxes.setdefault(dest, []).append(message)
-    return inboxes, dropped
-
-
-def _message_kind(message) -> str:
-    if isinstance(message, TaskRequest):
-        return "task_request"
-    if isinstance(message, TaskResponse):
-        return "task_response"
-    if isinstance(message, Share):
-        return "share"
-    return "profess"
+    crashed = pop.crash_round[messages.dst] <= rnd
+    dropped = crashed | pop.halted[messages.dst]
+    n_dropped = int(np.count_nonzero(dropped))
+    n_crashed = int(np.count_nonzero(crashed)) if n_dropped else 0
+    metrics.dropped_to_crashed += n_crashed
+    metrics.dropped_to_halted += n_dropped - n_crashed
+    metrics.delivered += len(messages) - n_dropped
+    if not n_dropped:
+        return messages, messages.take(slice(0, 0))
+    return messages.take(~dropped), messages.take(dropped)
 
 
 def run(
@@ -332,9 +396,7 @@ def run(
     config.validate()
     n = config.n
     seed = config.seed
-    params = config.params
     max_rounds = config.effective_max_rounds()
-    halt_level = ceil_log2(n)
 
     truth = assign_probabilities(
         n, config.reliability, rng_stream(seed, 0, 0, _LANE_RELIABILITY)
@@ -343,157 +405,137 @@ def run(
         n, config.model, config.crash_pattern, rng_stream(seed, 0, 0, _LANE_CRASHES)
     )
 
-    pool = RecordPool(n, gamma1(params))
-    states = [ProcessorState(id=i, n=n) for i in range(n)]
+    pool = RecordPool(n, gamma1(config.params))
+    pop = Population.start(n, schedule.crash_round)
     metrics = RunMetrics(per_processor_halt_round=[None] * n)
     trace = TraceCollector(trace_kinds) if collect_trace else None
+    window = StreamWindow(seed, n, max_rounds)
     p = truth.p
-    streams = _StreamPool(seed, n)
 
     rnd = 0
     while True:
-        active = [
-            s for s in states if not s.halted and schedule.is_live(s.id, rnd)
-        ]
-        if not active:
+        active = pop.active(rnd)
+        if not active.size:
             completion = "all_halted"
             break
         if rnd >= max_rounds:
             completion = "round_cap_hit"
             break
+        live = active.size
 
         if trace is not None:
-            for pid, crash_rnd in sorted(schedule.crash_round.items()):
-                if crash_rnd == rnd:
-                    trace.emit(rnd, "query", "send", pid, "crash")
-
+            _emit_each(trace, rnd, "query", "send",
+                       np.flatnonzero(pop.crash_round == rnd), "crash")
         if check_invariants:
-            known_before = {s.id: s.known.copy() for s in active}
+            known_before = pop.known[active]
 
         # ---- query stage ----------------------------------------------------
-        query_rngs = {s.id: streams.get(s.id, rnd, "query") for s in active}
-        clock = StepClock(rnd, "query", "send")
-        sends = []
-        for s in active:
-            dest, message = protocol.query_send(s, query_rngs[s.id])
-            sends.append((dest, message, s.id))
-            metrics.account_step(s.id, clock, messages=1)
-            metrics.count_messages("task_request", 1)
-            if trace is not None:
-                trace.emit(rnd, "query", "send", s.id, "send",
-                           type="task_request", to=dest)
-        inboxes, drops = deliver(sends, schedule, states, rnd, metrics)
-        _trace_routing(trace, rnd, "query", drops, inboxes)
-        metrics.account_plain_steps(len(active))  # receive step
-        clock = StepClock(rnd, "query", "compute")
-        for s in active:
-            requests = inboxes.get(s.id, [])
-            rng = query_rngs[s.id]
-            plan = protocol.query_compute(
-                s, requests, rng, lambda wid, _rng=rng: _rng.random() < p[wid]
-            )
-            metrics.dropped_requests += len(requests) - len(plan)
-            metrics.account_step(s.id, clock, tasks=len(plan))
+        draws = window.stage(rnd, "query", active)
+        requests = protocol.query_send(pop, active, draws)
+        metrics.account_step(live, messages=len(requests))
+        metrics.count_messages("task_request", len(requests))
+        requests = _route(requests, "query", pop, rnd, metrics, trace)
+        metrics.account_step(live)  # receive step
+        responses = protocol.query_compute(pop, requests, draws, p)
+        metrics.dropped_requests += len(requests) - len(responses)
+        metrics.account_step(live, tasks=len(responses))
 
         # ---- response stage -------------------------------------------------
-        clock = StepClock(rnd, "response", "send")
-        sends = []
-        for s in active:
-            for requester, correct in s.response_plan:
-                message = TaskResponse(correct=correct, src=s.id)
-                sends.append((requester, message, s.id))
-                if trace is not None:
-                    trace.emit(rnd, "response", "send", s.id, "send",
-                               type="task_response", to=requester)
-            metrics.account_step(s.id, clock, messages=len(s.response_plan))
-            metrics.count_messages("task_response", len(s.response_plan))
-            s.response_plan = []
-        inboxes, drops = deliver(sends, schedule, states, rnd, metrics)
-        _trace_routing(trace, rnd, "response", drops, inboxes)
-        for s in active:
-            expected_src = s.pending_query[0]
-            response = next(
-                (m for m in inboxes.get(s.id, []) if m.src == expected_src), None
-            )
-            target, res = protocol.response_receive(s, response, pool)
-            if res == -1 and schedule.is_live(target, rnd):
-                metrics.false_crash_detections += 1
-        metrics.account_plain_steps(len(active))  # receive step
-        clock = StepClock(rnd, "response", "compute")
-        for s in active:
-            flipped = protocol.response_compute(s, pool)
-            metrics.account_step(s.id, clock)
-            if flipped and trace is not None:
-                trace.emit(rnd, "response", "compute", s.id, "enlighten")
+        metrics.account_step(live, messages=len(responses))
+        metrics.count_messages("task_response", len(responses))
+        responses = _route(responses, "response", pop, rnd, metrics, trace)
+        res = protocol.response_receive(pop, active, responses, pool, rnd)
+        metrics.false_crash_detections += int(np.count_nonzero(
+            (res == -1) & (pop.crash_round[pop.target[active]] > rnd)))
+        metrics.account_step(live)  # receive step
+        flipped = protocol.response_compute(pop, active, pool)
+        metrics.account_step(live)
+        if trace is not None:
+            _emit_each(trace, rnd, "response", "compute", flipped, "enlighten")
 
         # ---- gossip stage ---------------------------------------------------
-        clock = StepClock(rnd, "gossip", "send")
-        sends = []
-        for s in active:
-            rng_g = streams.get(s.id, rnd, "gossip")
-            out = protocol.gossip_send(s, rng_g)
-            kind = _message_kind(out[0][1])
-            for dest, message in out:
-                sends.append((dest, message, s.id))
-                if trace is not None:
-                    trace.emit(rnd, "gossip", "send", s.id, "send",
-                               type=kind, to=dest, ell=message.level)
-            metrics.account_step(s.id, clock, messages=len(out))
-            metrics.count_messages(kind, len(out))
-        inboxes, drops = deliver(sends, schedule, states, rnd, metrics)
-        _trace_routing(trace, rnd, "gossip", drops, inboxes)
-        for s in active:
-            enlightened_now, level_reset = protocol.gossip_receive(
-                s, inboxes.get(s.id, []), config.literal_ell_reset
-            )
-            if trace is not None:
-                if enlightened_now:
-                    trace.emit(rnd, "gossip", "receive", s.id, "enlighten")
-                if level_reset:
-                    trace.emit(rnd, "gossip", "receive", s.id, "ell_reset")
-        metrics.account_plain_steps(len(active))  # receive step
-        clock = StepClock(rnd, "gossip", "compute")
-        for s in active:
-            halted = protocol.gossip_compute(s, inboxes.get(s.id, []), pool)
-            metrics.account_step(s.id, clock)
-            if halted:
-                metrics.per_processor_halt_round[s.id] = rnd
-                if trace is not None:
-                    trace.emit(rnd, "gossip", "compute", s.id, "halt")
+        gossip = protocol.gossip_send(pop, active, window.stage(rnd, "gossip", active))
+        metrics.account_step(live, messages=len(gossip))
+        professes = int(np.count_nonzero(gossip.is_profess))
+        metrics.count_messages("share", len(gossip) - professes)
+        metrics.count_messages("profess", professes)
+        gossip = _route(gossip, "gossip", pop, rnd, metrics, trace)
+        enlightened_now, level_reset = protocol.gossip_receive(pop, active, gossip)
+        metrics.account_step(live)  # receive step
+        if trace is not None:
+            now, reset = set(enlightened_now.tolist()), set(level_reset.tolist())
+            for pid in sorted(now | reset):
+                if pid in now:
+                    trace.emit(rnd, "gossip", "receive", pid, "enlighten")
+                if pid in reset:
+                    trace.emit(rnd, "gossip", "receive", pid, "ell_reset")
+        halted = protocol.gossip_compute(pop, active, gossip, pool)
+        metrics.account_step(live)
+        for pid in halted.tolist():
+            metrics.per_processor_halt_round[pid] = rnd
+        if trace is not None:
+            _emit_each(trace, rnd, "gossip", "compute", halted, "halt")
 
         if check_invariants:
-            for s in active:
-                assert np.all(s.known >= known_before[s.id]), (
-                    f"knowledge of {s.id} shrank in round {rnd}"
-                )
-                assert s.enlightened or s.level == 0, (
-                    f"unenlightened processor {s.id} has level {s.level}"
-                )
+            assert np.all(pop.known[active] >= known_before), (
+                f"knowledge shrank in round {rnd}"
+            )
+            assert np.all(pop.enlightened[active] | (pop.level[active] == 0)), (
+                f"an unenlightened processor has a nonzero level in round {rnd}"
+            )
         rnd += 1
 
-    estimates = {s.id: s.estimates for s in states if s.halted}
     metrics.rounds_to_all_halt = rnd
     return RunResult(
         config=config,
         completion=completion,
         halt_rounds=list(metrics.per_processor_halt_round),
-        estimates=estimates,
+        estimates=dict(sorted(pop.estimates.items())),
         metrics=metrics,
         truth=truth,
         schedule=schedule,
         trace=trace,
-        states=states if keep_states else None,
+        known=pop.known if keep_states else None,
         pool=pool if keep_states else None,
     )
 
 
-def _trace_routing(trace, rnd, stage, drops, inboxes):
-    if trace is None:
-        return
-    for dest, message, reason in drops:
-        trace.emit(rnd, stage, "receive", dest, "drop",
-                   type=_message_kind(message), reason=reason)
-    for dest in sorted(inboxes):
-        for message in inboxes[dest]:
-            trace.emit(rnd, stage, "receive", dest, "receive",
-                       type=_message_kind(message))
+def _emit_each(trace, rnd, stage, step, pids, kind):
+    for pid in pids.tolist():
+        trace.emit(rnd, stage, step, pid, kind)
+
+
+def _kinds(messages: Messages, stage: str) -> list[str]:
+    if stage == "gossip":
+        return ["profess" if f else "share" for f in messages.is_profess.tolist()]
+    return [_TASK_KIND[stage]] * len(messages)
+
+
+_TASK_KIND = {"query": "task_request", "response": "task_response"}
+
+
+def _route(messages, stage, pop, rnd, metrics, trace) -> Messages:
+    """Deliver one step's messages, tracing sends, drops and receives."""
+    if trace is not None:
+        sends = zip(messages.src.tolist(), messages.dst.tolist(),
+                    _kinds(messages, stage))
+        if stage == "gossip":
+            for (src, dst, kind), level in zip(sends, messages.level.tolist()):
+                trace.emit(rnd, stage, "send", src, "send", type=kind, to=dst,
+                           ell=level)
+        else:
+            for src, dst, kind in sends:
+                trace.emit(rnd, stage, "send", src, "send", type=kind, to=dst)
+    delivered, dropped = deliver(messages, pop, rnd, metrics)
+    if trace is not None:
+        crashed = (pop.crash_round[dropped.dst] <= rnd).tolist()
+        for dst, kind, was_crashed in zip(dropped.dst.tolist(),
+                                          _kinds(dropped, stage), crashed):
+            trace.emit(rnd, stage, "receive", dst, "drop", type=kind,
+                       reason="crashed" if was_crashed else "halted")
+        order = np.argsort(delivered.dst, kind="stable")
+        kinds = _kinds(delivered, stage)
+        dsts = delivered.dst.tolist()
+        for i in order.tolist():
+            trace.emit(rnd, stage, "receive", dsts[i], "receive", type=kinds[i])
+    return delivered

@@ -46,7 +46,7 @@ from .adversary import (
 from .engine import ConfigError, RunConfig, RunResult
 from .estimator import EstimationParams, ParameterDomainError
 from .metrics import accuracy
-from .trace import SCHEMA_VERSION, TraceCollector
+from .trace import EVENT_KINDS, SCHEMA_VERSION
 
 SWEEP_COLUMNS = [
     "row_type", "n", "trial", "seed", "completion", "T", "W", "M",
@@ -130,7 +130,12 @@ def config_from_args(args) -> RunConfig:
     """Merge config file and flags into an effective RunConfig."""
     base: dict = {}
     if getattr(args, "config", None):
-        base = json.loads(Path(args.config).read_text())
+        try:
+            base = json.loads(Path(args.config).read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(base, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
     merged = dict(base)
     if args.n is not None:
         merged["n"] = args.n
@@ -166,10 +171,23 @@ def config_from_args(args) -> RunConfig:
     merged.setdefault("delta", 0.1)
     if "n" not in merged:
         raise UsageError("--n (or a config file with n) is required")
+    return _config_from_dict(merged)
+
+
+def _config_from_dict(data) -> RunConfig:
     try:
-        return RunConfig.from_dict(merged)
+        config = RunConfig.from_dict(data)
+        config.validate()
     except (ConfigError, ParameterDomainError, AdversaryDomainError) as exc:
         raise UsageError(str(exc)) from exc
+    return config
+
+
+def _trace_kinds(kinds) -> Optional[list[str]]:
+    if kinds is not None and (not isinstance(kinds, list)
+                              or set(kinds) - set(EVENT_KINDS)):
+        raise UsageError(f"bad trace kinds {kinds!r}; choose from {list(EVENT_KINDS)}")
+    return kinds
 
 
 def summarize(result: RunResult, dump_estimates: bool = False) -> dict:
@@ -209,31 +227,27 @@ def summarize(result: RunResult, dump_estimates: bool = False) -> dict:
     return summary
 
 
-def write_trace(result: RunResult, path: Path) -> None:
-    """Write the header (config + filters) and one line per event."""
-    trace = result.trace
-    header = {
+def _trace_header(result: RunResult) -> str:
+    kinds = result.trace.kinds
+    return json.dumps({
         "kind": "header",
         "v": SCHEMA_VERSION,
         "config": result.config.to_dict(),
-        "trace_kinds": sorted(trace.kinds) if trace.kinds is not None else None,
-    }
+        "trace_kinds": sorted(kinds) if kinds is not None else None,
+    }, separators=(",", ":"))
+
+
+def write_trace(result: RunResult, path: Path) -> None:
+    """Write the header (config + filters) and one line per event."""
     with open(path, "w") as sink:
-        sink.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for event in trace.events:
+        sink.write(_trace_header(result) + "\n")
+        for event in result.trace.events:
             sink.write(event.to_line() + "\n")
 
 
 def render_trace(result: RunResult) -> str:
-    trace = result.trace
-    header = {
-        "kind": "header",
-        "v": SCHEMA_VERSION,
-        "config": result.config.to_dict(),
-        "trace_kinds": sorted(trace.kinds) if trace.kinds is not None else None,
-    }
-    lines = [json.dumps(header, separators=(",", ":"))]
-    lines.extend(event.to_line() for event in trace.events)
+    lines = [_trace_header(result)]
+    lines.extend(event.to_line() for event in result.trace.events)
     return "\n".join(lines) + "\n"
 
 
@@ -333,7 +347,7 @@ def write_sweep_csv(rows: list[dict], path: Path) -> None:
 
 def _cmd_run(args) -> int:
     config = config_from_args(args)
-    trace_kinds = (
+    trace_kinds = _trace_kinds(
         args.trace_kinds.split(",") if args.trace_kinds else None
     )
     result = engine.run(config, collect_trace=args.trace is not None,
@@ -383,10 +397,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    original = Path(args.trace).read_text()
-    header = json.loads(original.splitlines()[0])
-    config = RunConfig.from_dict(header["config"])
-    kinds = header.get("trace_kinds")
+    try:
+        original = Path(args.trace).read_text()
+        header = json.loads(original.partition("\n")[0])
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"{args.trace} does not start with a trace header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("kind") != "header":
+        raise UsageError(f"{args.trace} does not start with a trace header")
+    if header.get("v") != SCHEMA_VERSION:
+        raise UsageError(f"{args.trace} has trace schema version {header.get('v')!r}; "
+                         f"this relsim reads version {SCHEMA_VERSION}")
+    config = _config_from_dict(header.get("config"))
+    kinds = _trace_kinds(header.get("trace_kinds"))
     result = engine.run(config, collect_trace=True, trace_kinds=kinds)
     regenerated = render_trace(result)
     if regenerated == original:

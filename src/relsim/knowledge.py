@@ -37,6 +37,8 @@ from .estimator import CRASHED, EstimationParams, ResultRecord, gamma1
 # How many of the globally hardest (last-settled) targets the cheap
 # prescreen inspects before a full satisfaction scan.
 _PRESCREEN_TARGETS = 32
+# Most knowledge cells gathered at once by a merge.
+_MERGE_CELLS = 1 << 22
 
 
 def empty_knowledge(n: int) -> np.ndarray:
@@ -44,11 +46,40 @@ def empty_knowledge(n: int) -> np.ndarray:
     return np.full(n, -1, dtype=np.int32)
 
 
-def merge_knowledge(own: np.ndarray, others: list[np.ndarray]) -> np.ndarray:
-    """Union of knowledge states: elementwise maximum of round prefixes."""
-    if not others:
-        return own
-    return np.maximum.reduce(others + [own])
+def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of the sorted ``keys`` and the bounds of their runs:
+    value ``i`` fills ``keys[bounds[i]:bounds[i + 1]]``."""
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.append(starts, keys.size)
+
+
+def merge_knowledge(known: np.ndarray, dst: np.ndarray, src: np.ndarray) -> None:
+    """Merge knowledge row ``src[i]`` into row ``dst[i]`` for every i, in place.
+
+    Union of knowledge states is the elementwise maximum of round prefixes.
+    Every row is read before any is written, so a row that is both sent and
+    merged into contributes its value from before this merge, as a snapshot
+    taken at send time would.
+    """
+    if len(dst) == 0:
+        return
+    order = np.argsort(dst, kind="stable")
+    rows, bounds = runs(dst[order])
+    src = src[order]
+    merged = np.empty((rows.size, known.shape[1]), dtype=known.dtype)
+    # Gather a bounded number of cells at a time: a profess storm can send
+    # many rows to each destination.
+    step = max(1, _MERGE_CELLS // known.shape[1])
+    lo = 0
+    while lo < rows.size:
+        hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + step, side="right")) - 1)
+        block = known[src[bounds[lo]:bounds[hi]]]
+        merged[lo:hi] = np.maximum.reduceat(block, bounds[lo:hi] - bounds[lo], axis=0)
+        lo = hi
+    known[rows] = np.maximum(known[rows], merged)
 
 
 class RecordPool:
@@ -65,12 +96,14 @@ class RecordPool:
         # Integer mass needed per target: prefix sums are integers, so
         # "sum >= gamma1" is equivalent to "sum >= ceil(gamma1)".
         self.needed = math.ceil(gamma1_value)
-        self._src: list[int] = []
-        self._rnd: list[int] = []
-        self._tgt: list[int] = []
-        self._res: list[int] = []
-        # Lazily rebuilt caches over the appended records.
-        self._flat_len = 0
+        # Records in creation order, in arrays that grow by doubling.
+        self._count = 0
+        self._src = np.empty(0, dtype=np.int32)
+        self._rnd = np.empty(0, dtype=np.int32)
+        self._tgt = np.empty(0, dtype=np.int32)
+        self._res = np.empty(0, dtype=np.int32)
+        # Caches over the records, each valid for the record count it holds.
+        self._flat_len = -1
         self._flat: tuple | None = None
         self._sorted_len = -1
         self._sorted: tuple | None = None
@@ -87,37 +120,73 @@ class RecordPool:
         self._settle_order: list[int] = []
 
     def __len__(self) -> int:
-        return len(self._src)
+        return self._count
 
     def add_record(self, creator: int, rnd: int, target: int, res: int) -> None:
         """Register the record ``(res, creator, rnd)`` about ``target``."""
-        self._src.append(creator)
-        self._rnd.append(rnd)
-        self._tgt.append(target)
-        self._res.append(res)
-        if not self._settled[target]:
-            if res == 1:
-                self._global_correct[target] += 1
-                if self._global_correct[target] >= self.needed:
-                    self._settled[target] = True
-                    self._num_settled += 1
-                    self._settle_order.append(target)
-            elif res == -1:
+        self.add_records([creator], rnd, [target], [res])
+
+    def add_records(self, creators, rnd, targets, res) -> None:
+        """Register one record per creator, in the given order.
+
+        ``rnd`` is one round for all of them or one round each.
+        """
+        k = len(creators)
+        end = self._count + k
+        if end > self._src.size:
+            size = max(1024, 2 * self._src.size, end)
+            for name in ("_src", "_rnd", "_tgt", "_res"):
+                grown = np.empty(size, dtype=np.int32)
+                grown[:self._count] = getattr(self, name)[:self._count]
+                setattr(self, name, grown)
+        self._src[self._count:end] = creators
+        self._rnd[self._count:end] = rnd
+        self._tgt[self._count:end] = targets
+        self._res[self._count:end] = res
+        self._settle(self._tgt[self._count:end], self._res[self._count:end])
+        self._count = end
+
+    def _settle(self, targets: np.ndarray, res: np.ndarray) -> None:
+        # A target settles globally at its first crash record, or at the
+        # correct record that brings its correct count to ``needed``.
+        fresh = ~self._settled[targets]
+        if not np.count_nonzero(fresh):
+            return
+        targets, res = targets[fresh], res[fresh]
+        correct = np.bincount(targets[res == 1], minlength=self.n)
+        crossing = self._global_correct + correct >= self.needed
+        crossing[targets[res == -1]] = True
+        counted = self._global_correct.tolist()
+        self._global_correct += correct
+        at = crossing[targets]
+        if not np.count_nonzero(at):
+            return
+        for target, value in zip(targets[at].tolist(), res[at].tolist()):
+            if self._settled[target]:
+                continue
+            if value == 1:
+                counted[target] += 1
+                if counted[target] < self.needed:
+                    continue
+            elif value == 0:
+                continue
+            else:
                 self._global_crash[target] = True
-                self._settled[target] = True
-                self._num_settled += 1
-                self._settle_order.append(target)
+            self._settled[target] = True
+            self._num_settled += 1
+            self._settle_order.append(target)
 
     def globally_estimable(self) -> bool:
         """True once every target could be settled by a full-union knower."""
         return self._num_settled == self.n
 
     def _flat_arrays(self):
-        if self._flat is None or self._flat_len != len(self._src):
-            src = np.asarray(self._src, dtype=np.int32)
-            rnd = np.asarray(self._rnd, dtype=np.int32)
-            tgt = np.asarray(self._tgt, dtype=np.int32)
-            res = np.asarray(self._res, dtype=np.int32)
+        if self._flat_len != self._count:
+            count = self._count
+            src = self._src[:count]
+            rnd = self._rnd[:count]
+            tgt = self._tgt[:count]
+            res = self._res[:count]
             crash_sel = res == -1
             self._flat = (
                 src,
@@ -129,7 +198,7 @@ class RecordPool:
                 rnd[crash_sel],
                 tgt[crash_sel],
             )
-            self._flat_len = len(self._src)
+            self._flat_len = count
         return self._flat
 
     def min_records_needed(self) -> int:
@@ -142,7 +211,7 @@ class RecordPool:
         # A knowledge vector failing to settle one of them cannot satisfy,
         # and in the rounds before first enlightenment that is the common
         # case, so this small scan rejects most candidates cheaply.
-        if self._prescreen is None or self._prescreen_len != len(self._src):
+        if self._prescreen_len != self._count:
             src, rnd, tgt, res, is_corr, _cs, _cr, _ct = self._flat_arrays()
             hard = self._settle_order[-_PRESCREEN_TARGETS:]
             sel = np.isin(tgt, np.asarray(hard, dtype=np.int32)) & is_corr
@@ -156,7 +225,7 @@ class RecordPool:
                 len(hard),
                 np.asarray(hard, dtype=np.int64),
             )
-            self._prescreen_len = len(self._src)
+            self._prescreen_len = self._count
         return self._prescreen
 
     def satisfies(self, known: np.ndarray) -> bool:
@@ -188,7 +257,7 @@ class RecordPool:
     def _sorted_arrays(self):
         # Records ordered by (target, round, requester); within one target
         # this is exactly the replay order of the estimator.
-        if self._sorted is None or self._sorted_len != len(self._src):
+        if self._sorted_len != self._count:
             src, rnd, tgt, res, _ic, _cs, _cr, _ct = self._flat_arrays()
             order = np.lexsort((src, rnd, tgt))
             tgt_s = tgt[order]
@@ -202,7 +271,7 @@ class RecordPool:
                 res[order] == -1,
                 starts,
             )
-            self._sorted_len = len(self._src)
+            self._sorted_len = self._count
         return self._sorted
 
     def _buffers(self, length: int):
@@ -244,9 +313,9 @@ class RecordPool:
         with np.errstate(divide="ignore", invalid="ignore"):
             values = self.gamma1 / trial_count.astype(np.float64)
         estimates[reached] = values[reached]
-        if is_crash.any():
+        if np.count_nonzero(is_crash):
             crash_known = mask & is_crash
-            if crash_known.any():
+            if np.count_nonzero(crash_known):
                 estimates[np.unique(tgt[crash_known])] = CRASHED
         return estimates
 

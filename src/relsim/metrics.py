@@ -43,15 +43,12 @@ class RunMetrics:
     dropped_to_crashed: int = 0
     dropped_to_halted: int = 0
 
-    def account_step(self, pid: int, clock, messages: int = 0, tasks: int = 0):
-        """One executed step for a live, unhalted processor."""
-        self.work_steps += 1
+    def account_step(self, steps: int, messages: int = 0, tasks: int = 0):
+        """One step executed by ``steps`` live, unhalted processors, which
+        sent ``messages`` and executed ``tasks`` between them."""
+        self.work_steps += steps
         self.messages_total += messages
         self.tasks_executed += tasks
-
-    def account_plain_steps(self, count: int):
-        # Batched form of account_step for steps with no sends or tasks.
-        self.work_steps += count
 
     def count_messages(self, kind: str, count: int):
         self.messages_by_type[kind] += count

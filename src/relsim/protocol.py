@@ -1,4 +1,5 @@
-"""Per-processor state machine of the reliability-estimation protocol.
+"""State machine of the reliability-estimation protocol, stepped for the whole
+population at once.
 
 Each round has three stages -- query, response, gossip -- and each stage has
 send, receive, and compute steps.  A processor queries one random peer with a
@@ -12,21 +13,26 @@ final estimates and stop.  Levels double the profess fan-out each round and
 double as priorities: a processor that hears a higher-priority profess resets
 its own level, which keeps the total profess volume bounded.
 
-The step functions below are transitions ``(state, inputs) -> outputs``
-mutating only the given state; the engine owns each state and may run
-different processors' transitions in parallel within one step as long as all
-sends of a step are collected before any receive of the next.
+The step functions below are whole-population transitions.  Each takes the
+:class:`Population`, the ids of the processors acting this round (live and
+unhalted, ascending) and the step's inputs, and updates the state of exactly
+those processors.  No processor's transition reads state that another's
+changes in the same step, so each step equals running the per-processor
+transition for every acting processor in id order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 import numpy as np
 
-from .knowledge import RecordPool, empty_knowledge, merge_knowledge
+from .knowledge import RecordPool, empty_knowledge, merge_knowledge, runs
+from .streams import StageDraws
+
+# Crash round of a processor that never crashes.
+NEVER = np.iinfo(np.int64).max
 
 
 def ceil_log2(n: int) -> int:
@@ -54,160 +60,143 @@ def profess_fanout(level: int, n: int) -> int:
     return max(1, math.ceil(2.0 ** (level - 1) * math.log2(n))) if n > 1 else 1
 
 
-# --- messages ------------------------------------------------------------------
+# --- messages and state --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaskRequest:
-    src: int
-    token: int
+class Messages:
+    """Point-to-point sends of one step as parallel arrays, in send order.
 
+    ``level`` is the sender's level (a profess's priority; 0 on shares) and
+    ``is_profess`` marks profess messages; both are set on gossip only.
+    ``correct`` is the outcome a task response carries.  Gossip carries the
+    sender's whole knowledge row, read when it is merged: nothing changes a
+    row between a gossip send and the merge.
+    """
 
-@dataclass(frozen=True)
-class TaskResponse:
-    correct: bool
-    src: int
+    __slots__ = ("src", "dst", "level", "is_profess", "correct")
 
+    def __init__(self, src: np.ndarray, dst: np.ndarray, level=None,
+                 is_profess=None, correct=None):
+        self.src = src
+        self.dst = dst
+        self.level = level
+        self.is_profess = is_profess
+        self.correct = correct
 
-@dataclass(frozen=True, eq=False)
-class Share:
-    knowledge: np.ndarray
-    level: int
-    src: int
+    def __len__(self) -> int:
+        return len(self.dst)
 
-
-@dataclass(frozen=True, eq=False)
-class Profess:
-    """Only ever created by enlightened processors."""
-
-    knowledge: np.ndarray
-    level: int
-    src: int
-
-
-Message = Union[TaskRequest, TaskResponse, Share, Profess]
-
-Priority = tuple[int, int]
-
-
-def priority_less(a: Priority, b: Priority) -> bool:
-    """Strict lexicographic order on (level, id) pairs."""
-    return a < b
-
-
-# --- processor state -----------------------------------------------------------
+    def take(self, index) -> "Messages":
+        return Messages(*(None if a is None else a[index] for a in (
+            self.src, self.dst, self.level, self.is_profess, self.correct)))
 
 
 @dataclass
-class ProcessorState:
-    """Protocol state owned by one processor.
+class Population:
+    """Protocol state of all ``n`` processors, indexed by processor id.
 
-    ``known`` is the compressed knowledge vector (see :mod:`.knowledge`);
-    ``estimates`` is populated exactly once, at halt.  ``level`` is 0
-    whenever the processor is not enlightened.
+    Row ``i`` of ``known`` is processor i's compressed knowledge vector (see
+    :mod:`.knowledge`).  ``level`` is 0 wherever ``enlightened`` is False;
+    ``target`` is the peer each processor queried this round;
+    ``crash_round`` is the round each processor crashes in (:data:`NEVER`
+    if it does not); ``estimates`` gains an entry, exactly once, at halt.
     """
 
-    id: int
     n: int
-    round: int = 0
-    level: int = 0
-    enlightened: bool = False
-    halted: bool = False
-    known: np.ndarray = None
-    estimates: Optional[np.ndarray] = None
-    pending_query: Optional[tuple[int, int]] = None
-    response_plan: list[tuple[int, bool]] = field(default_factory=list)
+    crash_round: np.ndarray
+    known: np.ndarray
+    level: np.ndarray
+    enlightened: np.ndarray
+    halted: np.ndarray
+    target: np.ndarray
+    estimates: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.known is None:
-            self.known = empty_knowledge(self.n)
+    @staticmethod
+    def start(n: int, crash_round: dict[int, int]) -> "Population":
+        crashes = np.full(n, NEVER, dtype=np.int64)
+        crashes[list(crash_round)] = list(crash_round.values())
+        return Population(
+            n=n,
+            crash_round=crashes,
+            known=np.tile(empty_knowledge(n), (n, 1)),
+            level=np.zeros(n, dtype=np.int64),
+            enlightened=np.zeros(n, dtype=bool),
+            halted=np.zeros(n, dtype=bool),
+            target=np.zeros(n, dtype=np.int64),
+        )
 
-    def priority(self) -> Priority:
-        return (self.level, self.id)
+    def active(self, rnd: int) -> np.ndarray:
+        """Ids of the processors that are live and unhalted in round ``rnd``."""
+        return np.flatnonzero(~self.halted & (self.crash_round > rnd))
 
 
 # --- query stage ---------------------------------------------------------------
 
 
-def query_send(state: ProcessorState, rng: np.random.Generator) -> tuple[int, TaskRequest]:
-    """Pick a uniform random peer (self allowed) and request a test task."""
-    q = int(rng.integers(state.n))
-    token = state.round
-    state.pending_query = (q, token)
-    return q, TaskRequest(src=state.id, token=token)
+def query_send(pop: Population, active: np.ndarray, draws: StageDraws) -> Messages:
+    """Each processor picks a uniform random peer (self allowed) and requests
+    a test task."""
+    peers = draws.index()
+    pop.target[active] = peers
+    return Messages(active, peers)
 
 
-def query_compute(
-    state: ProcessorState,
-    requests: list[TaskRequest],
-    rng: np.random.Generator,
-    reliability_draw,
-) -> list[tuple[int, bool]]:
-    """Serve received task requests, at most ``request_cap(n)`` of them.
+def query_compute(pop: Population, requests: Messages, draws: StageDraws,
+                  p: np.ndarray) -> Messages:
+    """Serve received task requests, at most ``request_cap(n)`` per server.
 
-    When more requests arrive than the cap, a uniform subset of exactly the
-    cap is served.  Each served request costs one fresh correctness draw via
-    ``reliability_draw(worker_id)``.  Requests are served in requester-id
-    order so the draw sequence is reproducible.
+    A server with more requests than the cap serves a uniform subset of
+    exactly the cap.  Each served request costs one fresh correctness draw
+    against the server's reliability ``p``, in requester-id order.  Returns
+    the task responses, by server id, then requester id.
     """
-    requesters = sorted(m.src for m in requests)
-    cap = request_cap(state.n)
-    if len(requesters) > cap:
-        chosen = rng.choice(np.asarray(requesters, dtype=np.int64), size=cap,
-                            replace=False)
-        requesters = [int(x) for x in np.sort(chosen)]
-    plan = [(requester, bool(reliability_draw(state.id))) for requester in requesters]
-    state.response_plan = plan
-    return plan
+    order = np.argsort(requests.dst, kind="stable")
+    servers, starts = runs(requests.dst[order])
+    rows = np.searchsorted(draws.pids, servers)
+    requesters, owners, correct = draws.serve(
+        rows, starts, requests.src[order], request_cap(pop.n), p[servers])
+    return Messages(draws.pids[owners], requesters, correct=correct)
 
 
 # --- response stage ------------------------------------------------------------
 
 
-def response_receive(
-    state: ProcessorState,
-    response: Optional[TaskResponse],
-    pool: RecordPool,
-) -> tuple[int, int]:
-    """Record this round's query outcome about the queried peer.
+def response_receive(pop: Population, active: np.ndarray, responses: Messages,
+                     pool: RecordPool, rnd: int) -> np.ndarray:
+    """Record this round's query outcome of every processor.
 
-    Exactly one record is created: res 1 for a correct answer, 0 for an
-    incorrect one, -1 when no response arrived (the peer is presumed
-    crashed).  Returns ``(target, res)`` for the caller's bookkeeping.
+    Exactly one record each: res 1 for a correct answer, 0 for an incorrect
+    one, -1 when no response arrived (the peer is presumed crashed).
+    Returns the res values, aligned with ``active``.
     """
-    q, _token = state.pending_query
-    if response is None:
-        res = -1
-    elif response.correct:
-        res = 1
-    else:
-        res = 0
-    pool.add_record(creator=state.id, rnd=state.round, target=q, res=res)
-    state.known[state.id] = state.round
-    state.pending_query = None
-    return q, res
+    # A processor's only request went to its target, so any response it
+    # received is the answer.
+    res = np.full(active.size, -1, dtype=np.int32)
+    res[np.searchsorted(active, responses.dst)] = responses.correct
+    pool.add_records(active, rnd, pop.target[active], res)
+    pop.known[active, active] = rnd
+    return res
 
 
-def response_compute(state: ProcessorState, pool: RecordPool) -> bool:
-    """Become enlightened once every peer is settled in local knowledge.
+def response_compute(pop: Population, active: np.ndarray,
+                     pool: RecordPool) -> np.ndarray:
+    """Enlighten every processor whose knowledge settles every peer.
 
     Settled means: enough correct results (the pool's threshold) or any
-    crash record.  Returns True when the flag flips this step.
+    crash record.  Returns the ids whose flag flips this step.
     """
-    if state.enlightened:
-        return False
-    if pool.satisfies(state.known):
-        state.enlightened = True
-        return True
-    return False
+    if not pool.globally_estimable():
+        return active[:0]
+    waiting = active[~pop.enlightened[active]]
+    flipped = waiting[[pool.satisfies(pop.known[i]) for i in waiting]]
+    pop.enlightened[flipped] = True
+    return flipped
 
 
 # --- gossip stage --------------------------------------------------------------
 
 
-def gossip_send(
-    state: ProcessorState, rng: np.random.Generator
-) -> list[tuple[int, Message]]:
+def gossip_send(pop: Population, active: np.ndarray, draws: StageDraws) -> Messages:
     """Emit this round's gossip.
 
     Enlightened: profess the full knowledge to ``profess_fanout`` uniform
@@ -216,66 +205,65 @@ def gossip_send(
     peer.  Self-targeting is allowed everywhere and is what lets the last
     unhalted processor stop itself.
     """
-    snapshot = state.known.copy()
-    snapshot.setflags(write=False)
-    if state.enlightened:
-        k = profess_fanout(state.level, state.n)
-        dests = np.unique(rng.integers(0, state.n, size=k))
-        message = Profess(knowledge=snapshot, level=state.level, src=state.id)
-        out = [(int(d), message) for d in dests]
-        state.level += 1
-        return out
-    q = int(rng.integers(state.n))
-    return [(q, Share(knowledge=snapshot, level=state.level, src=state.id))]
+    professing = pop.enlightened[active]
+    if not np.count_nonzero(professing):
+        return Messages(active, draws.index(), pop.level[active], professing)
+    sharers = np.flatnonzero(~professing)
+    professors = np.flatnonzero(professing)
+    levels, inverse = np.unique(pop.level[active[professors]], return_inverse=True)
+    fanout = np.array([profess_fanout(v, pop.n) for v in levels.tolist()])
+    rows, dst = draws.fanout(professors, fanout[inverse.ravel()])
+    if sharers.size:
+        rows = np.concatenate((sharers, rows))
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        dst = np.concatenate((draws.index(sharers), dst))[order]
+    src = active[rows]
+    out = Messages(src, dst, pop.level[src], professing[rows])
+    pop.level[active[professors]] += 1
+    return out
 
 
-def gossip_receive(
-    state: ProcessorState,
-    inbox: list[Message],
-    literal_level_reset: bool = False,
-) -> tuple[bool, bool]:
+def gossip_receive(pop: Population, active: np.ndarray,
+                   inbox: Messages) -> tuple[np.ndarray, np.ndarray]:
     """Process received gossip flags: enlightenment and level reset.
 
     Any profess enlightens the receiver (its first own profess goes out next
     round, the send step of this one having passed).  The level resets to 0
-    on a higher-priority profess; with ``literal_level_reset`` the comparison
-    ranges over shares too, which is observationally identical because a
-    share always carries level 0.  Returns (enlightened_now, level_reset).
+    on a profess of higher priority, ordering (level, id) pairs
+    lexicographically; a share always carries level 0, so comparing against
+    shares too would change nothing.  Returns the ids enlightened now and
+    the ids whose nonzero level was reset.
     """
-    enlightened_now = False
-    if not state.enlightened and any(isinstance(m, Profess) for m in inbox):
-        state.enlightened = True
-        enlightened_now = True
-    candidates = inbox if literal_level_reset else [
-        m for m in inbox if isinstance(m, Profess)
-    ]
-    level_reset = False
-    mine = state.priority()
-    if any(priority_less(mine, (m.level, m.src)) for m in candidates):
-        if state.level != 0:
-            level_reset = True
-        state.level = 0
+    if not np.count_nonzero(inbox.is_profess):
+        return active[:0], active[:0]
+    n = pop.n
+    professes = inbox.take(inbox.is_profess)
+    heard = np.unique(professes.dst)
+    enlightened_now = heard[~pop.enlightened[heard]]
+    pop.enlightened[enlightened_now] = True
+    best = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(best, professes.dst, professes.level * n + professes.src)
+    outranked = heard[best[heard] > pop.level[heard] * n + heard]
+    level_reset = outranked[pop.level[outranked] != 0]
+    pop.level[outranked] = 0
     return enlightened_now, level_reset
 
 
-def gossip_compute(
-    state: ProcessorState,
-    inbox: list[Message],
-    pool: RecordPool,
-) -> bool:
+def gossip_compute(pop: Population, active: np.ndarray, inbox: Messages,
+                   pool: RecordPool) -> np.ndarray:
     """Merge received knowledge; halt if enough gossip circulated.
 
     Knowledge union is monotone.  A received profess whose level has reached
     ceil(log2(n)) triggers the final estimation over the merged knowledge
-    and halts the processor; otherwise the round counter advances.  Returns
-    True on halt.
+    and halts the processor.  Returns the ids that halted.
     """
-    vectors = [m.knowledge for m in inbox]
-    state.known = merge_knowledge(state.known, vectors)
-    threshold = ceil_log2(state.n)
-    if any(isinstance(m, Profess) and m.level >= threshold for m in inbox):
-        state.estimates = pool.estimate_all(state.known)
-        state.halted = True
-        return True
-    state.round += 1
-    return False
+    merge_knowledge(pop.known, inbox.dst, inbox.src)
+    final = inbox.is_profess & (inbox.level >= ceil_log2(pop.n))
+    if not np.count_nonzero(final):
+        return active[:0]
+    halting = np.unique(inbox.dst[final])
+    for i in halting.tolist():
+        pop.estimates[i] = pool.estimate_all(pop.known[i])
+    pop.halted[halting] = True
+    return halting

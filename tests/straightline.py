@@ -52,6 +52,8 @@ class RefRun:
     messages_total: int
     messages_by_type: dict
     knowledge: dict
+    # The RunMetrics counters, named as there.
+    counters: dict
 
 
 def run_reference(config) -> RefRun:
@@ -77,8 +79,23 @@ def run_reference(config) -> RefRun:
     by_type = {"task_request": 0, "task_response": 0, "share": 0, "profess": 0}
     enlighten_rounds = {}
 
+    counters = dict.fromkeys(
+        ("work_steps", "tasks_executed", "false_crash_detections",
+         "dropped_requests", "delivered", "dropped_to_crashed",
+         "dropped_to_halted"), 0)
+
     def alive(pid, rnd):
         return schedule.is_live(pid, rnd) and not procs[pid].halted
+
+    def route(pid, rnd):
+        # Ledger of one send; True when it is delivered.
+        if alive(pid, rnd):
+            counters["delivered"] += 1
+        elif not schedule.is_live(pid, rnd):
+            counters["dropped_to_crashed"] += 1
+        else:
+            counters["dropped_to_halted"] += 1
+        return alive(pid, rnd)
 
     rnd = 0
     while True:
@@ -89,6 +106,7 @@ def run_reference(config) -> RefRun:
         if rnd >= max_rounds:
             completion = "round_cap_hit"
             break
+        counters["work_steps"] += 9 * len(active)
 
         # query stage
         qr = {pr.pid: rng_stream(seed, pr.pid, rnd, "query") for pr in active}
@@ -98,7 +116,7 @@ def run_reference(config) -> RefRun:
             pr.pending = (q, rnd)
             messages_total += 1
             by_type["task_request"] += 1
-            if alive(q, rnd):
+            if route(q, rnd):
                 requests[q].append(pr.pid)
         for pr in active:
             rng = qr[pr.pid]
@@ -108,6 +126,8 @@ def run_reference(config) -> RefRun:
                                     size=cap, replace=False)
                 requesters = [int(x) for x in np.sort(chosen)]
             pr.plan = [(req, bool(rng.random() < p[pr.pid])) for req in requesters]
+            counters["tasks_executed"] += len(pr.plan)
+            counters["dropped_requests"] += len(requests[pr.pid]) - len(pr.plan)
 
         # response stage
         responses = {pr.pid: {} for pr in active}
@@ -115,7 +135,7 @@ def run_reference(config) -> RefRun:
             for requester, correct in pr.plan:
                 messages_total += 1
                 by_type["task_response"] += 1
-                if alive(requester, rnd):
+                if route(requester, rnd):
                     responses[requester][pr.pid] = correct
             pr.plan = []
         for pr in active:
@@ -124,6 +144,8 @@ def run_reference(config) -> RefRun:
                 res = 1 if responses[pr.pid][q] else 0
             else:
                 res = -1
+                if schedule.is_live(q, rnd):
+                    counters["false_crash_detections"] += 1
             pr.knowledge[q] = pr.knowledge[q] | {ResultRecord(res, pr.pid, rnd)}
             pr.pending = None
         for pr in active:
@@ -150,14 +172,14 @@ def run_reference(config) -> RefRun:
                 for d in dests:
                     messages_total += 1
                     by_type["profess"] += 1
-                    if alive(int(d), rnd):
+                    if route(int(d), rnd):
                         inboxes[int(d)].append(("profess", snapshot, pr.level, pr.pid))
                 pr.level += 1
             else:
                 q = int(rng.integers(n))
                 messages_total += 1
                 by_type["share"] += 1
-                if alive(q, rnd):
+                if route(q, rnd):
                     inboxes[q].append(("share", snapshot, pr.level, pr.pid))
         for pr in active:
             inbox = inboxes[pr.pid]
@@ -191,4 +213,5 @@ def run_reference(config) -> RefRun:
         messages_total=messages_total,
         messages_by_type=by_type,
         knowledge={pr.pid: pr.knowledge for pr in procs},
+        counters={"rounds_to_all_halt": rnd, **counters},
     )

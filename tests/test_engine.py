@@ -5,7 +5,6 @@ import pytest
 
 from relsim.adversary import (
     ConstantReliability,
-    CrashSchedule,
     LinearFraction,
     UniformReliability,
     UpfrontCrashes,
@@ -13,14 +12,14 @@ from relsim.adversary import (
 from relsim.engine import (
     ConfigError,
     RunConfig,
-    _StreamPool,
     deliver,
     rng_stream,
     run,
 )
 from relsim.estimator import EstimationParams, gamma1
 from relsim.metrics import RunMetrics
-from relsim.protocol import ProcessorState, Share
+from relsim.protocol import Messages, Population
+from relsim.streams import StreamWindow
 
 PARAMS = EstimationParams(0.5, 0.1)
 
@@ -48,47 +47,67 @@ class TestRngStream:
         assert abs(corr) < 0.01
 
     def test_pool_matches_fresh_streams(self):
-        pool = _StreamPool(99, 4)
-        for pid in range(4):
-            for rnd in (0, 3):
-                for stage in ("query", "gossip"):
+        # The windowed first blocks and the re-keyed fallback generator both
+        # equal fresh streams of the same key.
+        window = StreamWindow(99, 4, last_round=8)
+        pids = np.arange(4)
+        for rnd in (0, 3):
+            for stage in ("query", "gossip"):
+                draws = window.stage(rnd, stage, pids)
+                for pid in range(4):
+                    fresh = rng_stream(99, pid, rnd, stage)
+                    assert np.array_equal(draws.words[pid],
+                                          fresh.bit_generator.random_raw(4))
                     fresh = rng_stream(99, pid, rnd, stage).random(5)
-                    pooled = pool.get(pid, rnd, stage).random(5)
-                    assert np.array_equal(fresh, pooled)
+                    assert np.array_equal(draws.exact(pid).random(5), fresh)
+
+    @pytest.mark.parametrize("seed", [2**63 + 1, 2**64 - 1])
+    def test_large_seeds_use_the_full_uint64_key(self, seed, recwarn):
+        key = rng_stream(seed, 1, 2, "query").bit_generator.state["state"]["key"]
+        assert int(key[0]) == seed
+        window = StreamWindow(seed, 2, 4).stage(0, "query", np.arange(2))
+        fresh = rng_stream(seed, 1, 0, "query").bit_generator.random_raw(4)
+        assert np.array_equal(window.words[1], fresh)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("seed", [-3, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ValueError):
+            rng_stream(seed, 0, 0, "query")
+        with pytest.raises(ConfigError):
+            run(RunConfig(n=2, params=PARAMS, seed=seed))
 
 
 class TestDeliver:
-    def _states(self, n):
-        return [ProcessorState(id=i, n=n) for i in range(n)]
+    def _route(self, dst, pop, rnd, metrics):
+        dst = np.array(dst, dtype=np.int64)
+        return deliver(Messages(np.zeros_like(dst), dst), pop, rnd, metrics)
 
     def test_message_to_crashed_same_round_dropped(self):
-        states = self._states(2)
         metrics = RunMetrics()
-        schedule = CrashSchedule({1: 3})
-        inboxes, drops = deliver([(1, "m", 0)], schedule, states, 3, metrics)
-        assert inboxes == {}
-        assert drops == [(1, "m", "crashed")]
+        pop = Population.start(2, {1: 3})
+        delivered, dropped = self._route([1], pop, 3, metrics)
+        assert len(delivered) == 0
+        assert dropped.dst.tolist() == [1]
         assert metrics.dropped_to_crashed == 1
 
     def test_message_to_live_delivered(self):
-        states = self._states(2)
         metrics = RunMetrics()
-        inboxes, drops = deliver([(1, "m", 0)], CrashSchedule({}), states, 0, metrics)
-        assert inboxes == {1: ["m"]} and not drops
+        delivered, dropped = self._route([1], Population.start(2, {}), 0, metrics)
+        assert delivered.dst.tolist() == [1] and len(dropped) == 0
         assert metrics.delivered == 1
 
     def test_message_to_halted_dropped_separately(self):
-        states = self._states(2)
-        states[1].halted = True
+        pop = Population.start(2, {})
+        pop.halted[1] = True
         metrics = RunMetrics()
-        _, drops = deliver([(1, "m", 0)], CrashSchedule({}), states, 0, metrics)
-        assert drops == [(1, "m", "halted")]
-        assert metrics.dropped_to_halted == 1
+        _, dropped = self._route([1], pop, 0, metrics)
+        assert dropped.dst.tolist() == [1]
+        assert metrics.dropped_to_halted == 1 and metrics.dropped_to_crashed == 0
 
     def test_empty_batch(self):
-        inboxes, drops = deliver([], CrashSchedule({}), self._states(1), 0,
-                                 RunMetrics())
-        assert inboxes == {} and drops == []
+        delivered, dropped = self._route([], Population.start(1, {}), 0, RunMetrics())
+        assert len(delivered) == 0 and len(dropped) == 0
 
 
 class TestRun:

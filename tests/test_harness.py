@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from relsim.engine import RunConfig, run
+from relsim.adversary import ExplicitReliability, PolyLog, SpreadCrashes
+from relsim.engine import ConfigError, RunConfig, run
 from relsim.estimator import EstimationParams
 from relsim.harness import (
     ExperimentSpec,
@@ -186,3 +187,61 @@ class TestSummary:
         summary = summarize(result, dump_estimates=True)
         assert summary["estimates"]["0"] == [1.0, None, -1.0, 0.5]
         json.dumps(summary)
+
+
+class TestInputFaults:
+    def _config_file(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        return str(path)
+
+    def test_malformed_config_json_is_usage_error(self, tmp_path, capsys):
+        path = self._config_file(tmp_path, '{"n": 8,')
+        assert main(["run", "--config", path]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        path = self._config_file(tmp_path, '{"n": 8, "epslion": 0.3}')
+        assert main(["run", "--config", path]) == 2
+        assert "epslion" in capsys.readouterr().err
+
+    def test_unknown_nested_key_rejected(self):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"n": 4, "epsilon": 0.5, "delta": 0.1,
+                                 "model": {"kind": "lf", "fraction": 0.5}})
+
+    def test_every_written_key_still_read(self):
+        config = RunConfig(n=5, params=EstimationParams(0.5, 0.1),
+                           model=PolyLog(1.5, 0.5), crash_pattern=SpreadCrashes(3),
+                           reliability=ExplicitReliability((0.5,) * 5), seed=9,
+                           max_rounds=12, literal_ell_reset=True)
+        assert RunConfig.from_dict(config.to_dict()) == config
+
+    @pytest.mark.parametrize("seed", ["-3", str(2**64)])
+    def test_seed_outside_uint64_is_usage_error(self, seed, capsys):
+        assert main(["run", "--n", "4", "--seed", seed]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "not json\n", '{"kind": "event"}\n'])
+    def test_replay_of_headerless_trace_is_usage_error(self, tmp_path, text, capsys):
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        assert main(["replay", "--trace", str(path)]) == 2
+        assert "header" in capsys.readouterr().err
+
+    def test_replay_checks_schema_version(self, tmp_path, capsys):
+        path = tmp_path / "run.trace"
+        assert main(["run", "--n", "4", "--seed", "1", "--trace", str(path)]) == 0
+        capsys.readouterr()
+        header, _, rest = path.read_text().partition("\n")
+        record = json.loads(header)
+        record["v"] = 99
+        path.write_text(json.dumps(record) + "\n" + rest)
+        assert main(["replay", "--trace", str(path)]) == 2
+        assert "version" in capsys.readouterr().err
+
+    def test_unknown_trace_kind_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "run.trace"
+        assert main(["run", "--n", "4", "--trace", str(path),
+                     "--trace-kinds", "halt,bogus"]) == 2
+        assert "bogus" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from relsim.estimator import (
     estimation,
     gamma1,
 )
+from relsim import knowledge
 from relsim.knowledge import RecordPool, empty_knowledge, merge_knowledge
 
 PARAMS = EstimationParams(0.5, 0.1)
@@ -23,13 +24,11 @@ def test_empty_knowledge_knows_nothing():
 
 
 def test_merge_is_elementwise_max():
-    a = np.array([3, -1, 5, 0], dtype=np.int32)
-    b = np.array([1, 2, 9, -1], dtype=np.int32)
-    merged = merge_knowledge(a, [b])
-    assert merged.tolist() == [3, 2, 9, 0]
-    # inputs untouched
-    assert a.tolist() == [3, -1, 5, 0]
-    assert b.tolist() == [1, 2, 9, -1]
+    known = np.array([[3, -1, 5, 0], [1, 2, 9, -1]], dtype=np.int32)
+    merge_knowledge(known, np.array([0]), np.array([1]))
+    assert known[0].tolist() == [3, 2, 9, 0]
+    # the sender's row is untouched
+    assert known[1].tolist() == [1, 2, 9, -1]
 
 
 def _random_pool(rng, n, rounds, crash_prob=0.02):
@@ -114,11 +113,42 @@ def test_records_round_trip():
 
 
 def test_snapshot_semantics_shared_message_not_mutated():
-    # A snapshot array shipped to several destinations is read-only; merges
-    # allocate fresh arrays rather than touching it.
-    base = np.array([2, 2, 2], dtype=np.int32)
-    snapshot = base.copy()
-    snapshot.setflags(write=False)
-    merged = merge_knowledge(np.array([5, 0, 1], dtype=np.int32), [snapshot, snapshot])
-    assert merged.tolist() == [5, 2, 2]
-    assert snapshot.tolist() == [2, 2, 2]
+    # One row shipped to several destinations, one of which also sends:
+    # every merge reads the rows as they were before the step.
+    known = np.array([[2, 2, 2], [5, 0, 1], [0, 7, 0]], dtype=np.int32)
+    merge_knowledge(known, np.array([1, 2, 1, 0]), np.array([0, 0, 0, 2]))
+    assert known.tolist() == [[2, 7, 2], [5, 2, 2], [2, 7, 2]]
+
+
+def test_merge_in_bounded_blocks_matches_one_pass(monkeypatch):
+    rng = np.random.default_rng(3)
+    known = rng.integers(-1, 50, size=(12, 12)).astype(np.int32)
+    dst = rng.integers(0, 12, size=60)
+    src = rng.integers(0, 12, size=60)
+    expected = known.copy()
+    for d in range(12):
+        rows = src[dst == d]
+        if rows.size:
+            expected[d] = np.maximum(known[d], known[rows].max(axis=0))
+    monkeypatch.setattr(knowledge, "_MERGE_CELLS", 30)
+    merge_knowledge(known, dst, src)
+    assert np.array_equal(known, expected)
+
+
+def test_add_records_matches_one_at_a_time():
+    rng = np.random.default_rng(5)
+    batched, single = RecordPool(6, G1), RecordPool(6, G1)
+    for rnd in range(120):
+        creators = np.flatnonzero(rng.random(6) < 0.8)
+        targets = rng.integers(0, 6, size=creators.size)
+        res = rng.choice([-1, 0, 1, 1, 1], size=creators.size, p=[0.01, 0.2, 0.27, 0.26, 0.26])
+        batched.add_records(creators, rnd, targets, res)
+        for c, t, r in zip(creators, targets, res):
+            single.add_record(int(c), rnd, int(t), int(r))
+        assert batched._settle_order == single._settle_order
+        assert batched._num_settled == single._num_settled
+        assert np.array_equal(batched._global_crash, single._global_crash)
+    assert len(batched) == len(single)
+    known = np.full(6, 119, dtype=np.int32)
+    assert np.array_equal(batched.estimate_all(known), single.estimate_all(known),
+                          equal_nan=True)

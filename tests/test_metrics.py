@@ -9,7 +9,7 @@ from relsim.adversary import (
     UniformReliability,
     UpfrontCrashes,
 )
-from relsim.engine import RunConfig, StepClock, run
+from relsim.engine import RunConfig, run
 from relsim.estimator import EstimationParams
 from relsim.metrics import (
     MetricsDomainError,
@@ -22,21 +22,22 @@ PARAMS = EstimationParams(0.5, 0.1)
 
 
 class TestAccountStep:
+    # One call accounts one step of the whole population.
     def test_multicast_counts_point_to_point(self):
         m = RunMetrics()
-        m.account_step(0, StepClock(0, "gossip", "send"), messages=5)
+        m.account_step(1, messages=5)
         assert m.messages_total == 5 and m.work_steps == 1
 
     def test_compute_step_without_sends(self):
         m = RunMetrics()
-        m.account_step(3, StepClock(1, "response", "compute"))
-        assert m.messages_total == 0 and m.work_steps == 1
+        m.account_step(3)
+        assert m.messages_total == 0 and m.work_steps == 3
 
     def test_tasks_accumulate(self):
         m = RunMetrics()
-        m.account_step(0, StepClock(0, "query", "compute"), tasks=3)
-        m.account_step(1, StepClock(0, "query", "compute"), tasks=2)
-        assert m.tasks_executed == 5
+        m.account_step(2, tasks=3)
+        m.account_step(2, tasks=2)
+        assert m.tasks_executed == 5 and m.work_steps == 4
 
 
 class TestAccuracy:

@@ -5,18 +5,14 @@ import pytest
 
 from relsim.engine import rng_stream
 from relsim.estimator import EstimationParams, gamma1
-from relsim.knowledge import RecordPool, empty_knowledge
+from relsim.knowledge import RecordPool
 from relsim.protocol import (
-    Profess,
-    ProcessorState,
-    Share,
-    TaskRequest,
-    TaskResponse,
+    Messages,
+    Population,
     ceil_log2,
     gossip_compute,
     gossip_receive,
     gossip_send,
-    priority_less,
     profess_fanout,
     query_compute,
     query_send,
@@ -24,36 +20,67 @@ from relsim.protocol import (
     response_compute,
     response_receive,
 )
+from relsim.streams import StreamWindow
 
 PARAMS = EstimationParams(0.5, 0.1)
 G1 = gamma1(PARAMS)
 
 
-def make_state(pid=0, n=4, **kw):
-    return ProcessorState(id=pid, n=n, **kw)
+def make_pop(n=4):
+    return Population.start(n, {})
 
 
 def make_pool(n=4):
     return RecordPool(n, G1)
 
 
-def fill_correct(pool, state, target, count):
-    # state records `count` correct results about `target` in its own rounds.
-    for _ in range(count):
-        pool.add_record(state.id, state.round, target, 1)
-        state.known[state.id] = state.round
-        state.round += 1
+def ids(*pids):
+    return np.array(pids, dtype=np.int64)
+
+
+def draws(pop, seed, rnd, stage, active):
+    return StreamWindow(seed, pop.n, rnd + 1).stage(rnd, stage, active)
+
+
+def gossip(src, dst, level, profess):
+    return Messages(ids(*src), ids(*dst), ids(*level), np.array(profess, dtype=bool))
+
+
+def profess(src, dst, level):
+    return gossip([src], [dst], [level], [True])
+
+
+def share(src, dst):
+    return gossip([src], [dst], [0], [False])
+
+
+def fill_correct(pool, pop, pid, target, count, first_round=0):
+    # ``pid`` records ``count`` correct results about ``target`` in its own
+    # consecutive rounds.
+    for rnd in range(first_round, first_round + count):
+        pool.add_records([pid], rnd, [target], [1])
+        pop.known[pid, pid] = rnd
 
 
 class TestPriority:
+    # A profess resets the receiver's level when its (level, sender id) pair
+    # is lexicographically greater than the receiver's own.
+    def _reset_by(self, mine, theirs):
+        (level, pid), (their_level, src) = mine, theirs
+        pop = make_pop(16)
+        pop.enlightened[pid] = True
+        pop.level[pid] = level
+        _, reset = gossip_receive(pop, ids(pid), profess(src, pid, their_level))
+        return pid in reset.tolist()
+
     def test_level_dominates(self):
-        assert priority_less((2, 9), (3, 1))
+        assert self._reset_by((2, 9), (3, 1))
 
     def test_id_breaks_ties(self):
-        assert priority_less((3, 1), (3, 7))
+        assert self._reset_by((3, 1), (3, 7))
 
     def test_irreflexive(self):
-        assert not priority_less((3, 7), (3, 7))
+        assert not self._reset_by((3, 7), (3, 7))
 
 
 class TestHelpers:
@@ -78,192 +105,201 @@ class TestHelpers:
 
 class TestQuery:
     def test_single_processor_targets_itself(self):
-        state = make_state(n=1, pid=0)
-        dest, msg = query_send(state, rng_stream(1, 0, 0, "query"))
-        assert dest == 0
-        assert msg == TaskRequest(src=0, token=0)
-        assert state.pending_query == (0, 0)
+        pop = make_pop(1)
+        requests = query_send(pop, ids(0), draws(pop, 1, 0, "query", ids(0)))
+        assert requests.src.tolist() == [0] and requests.dst.tolist() == [0]
+        assert pop.target[0] == 0
 
     def test_reproducible_target_sequence(self):
-        picks_a = [query_send(make_state(n=16, pid=3), rng_stream(9, 3, r, "query"))[0]
-                   for r in range(20)]
-        picks_b = [query_send(make_state(n=16, pid=3), rng_stream(9, 3, r, "query"))[0]
-                   for r in range(20)]
-        assert picks_a == picks_b
+        def picks():
+            pop = make_pop(16)
+            return [int(query_send(pop, ids(3), draws(pop, 9, r, "query", ids(3))).dst[0])
+                    for r in range(20)]
+        fresh = [int(rng_stream(9, 3, r, "query").integers(16)) for r in range(20)]
+        assert picks() == picks() == fresh
 
     def test_targets_uniform(self):
+        pop = make_pop(16)
+        active = np.arange(16)
+        window = StreamWindow(77, 16, 6250)
         counts = np.zeros(16, dtype=int)
-        for r in range(100_000):
-            dest, _ = query_send(make_state(n=16), rng_stream(77, 0, r, "query"))
-            counts[dest] += 1
+        for r in range(6250):
+            dst = query_send(pop, active, window.stage(r, "query", active)).dst
+            counts += np.bincount(dst, minlength=16)
         assert np.all(np.abs(counts - 6250) <= 300)
 
     def test_cap_subsets_large_inbox(self):
-        state = make_state(n=1024)
-        requests = [TaskRequest(src=i, token=0) for i in range(14)]
-        plan = query_compute(state, requests, rng_stream(5, 0, 0, "query"),
-                             lambda wid: True)
+        pop = make_pop(1024)
+        active = np.arange(14)
+        requests = Messages(active, np.zeros(14, dtype=np.int64))
+        plan = query_compute(pop, requests, draws(pop, 5, 0, "query", active),
+                             np.ones(1024))
         assert len(plan) == 10
-        assert sorted(r for r, _ in plan) == [r for r, _ in plan]
-        assert {r for r, _ in plan} <= set(range(14))
+        served = plan.dst.tolist()
+        assert sorted(served) == served
+        assert set(served) <= set(range(14))
+        assert set(plan.src.tolist()) == {0}
 
     def test_empty_inbox(self):
-        state = make_state()
-        assert query_compute(state, [], rng_stream(5, 0, 0, "query"),
-                             lambda wid: True) == []
+        pop = make_pop()
+        none = Messages(ids(), ids())
+        plan = query_compute(pop, none, draws(pop, 5, 0, "query", ids(0)), np.ones(4))
+        assert len(plan) == 0
 
     def test_perfect_worker_all_correct(self):
-        state = make_state(n=64)
-        requests = [TaskRequest(src=i, token=0) for i in range(5)]
-        plan = query_compute(state, requests, rng_stream(5, 0, 0, "query"),
-                             lambda wid: True)
-        assert plan == [(i, True) for i in range(5)]
+        pop = make_pop(64)
+        active = np.arange(5)
+        requests = Messages(active, np.zeros(5, dtype=np.int64))
+        plan = query_compute(pop, requests, draws(pop, 5, 0, "query", active),
+                             np.ones(64))
+        assert plan.dst.tolist() == list(range(5))
+        assert plan.correct.tolist() == [True] * 5
 
 
 class TestResponse:
+    def _receive(self, answer):
+        pool, pop = make_pool(), make_pop()
+        pop.target[1] = 2
+        responses = (Messages(ids(), ids(), correct=np.zeros(0, dtype=bool))
+                     if answer is None else
+                     Messages(ids(2), ids(1), correct=np.array([answer])))
+        res = response_receive(pop, ids(1), responses, pool, 0)
+        return pool, pop, res
+
     def test_correct_response_recorded(self):
-        pool, state = make_pool(), make_state(pid=1)
-        state.pending_query = (2, 0)
-        target, res = response_receive(state, TaskResponse(correct=True, src=2), pool)
-        assert (target, res) == (2, 1)
-        assert pool.records_for(state.known, 2) == {(1, 1, 0)}
+        pool, pop, res = self._receive(True)
+        assert res.tolist() == [1]
+        assert pool.records_for(pop.known[1], 2) == {(1, 1, 0)}
 
     def test_missing_response_records_crash_mark(self):
-        pool, state = make_pool(), make_state(pid=1)
-        state.pending_query = (2, 0)
-        _, res = response_receive(state, None, pool)
-        assert res == -1
-        assert {r.res for r in pool.records_for(state.known, 2)} == {-1}
+        pool, pop, res = self._receive(None)
+        assert res.tolist() == [-1]
+        assert {r.res for r in pool.records_for(pop.known[1], 2)} == {-1}
 
     def test_incorrect_response(self):
-        pool, state = make_pool(), make_state(pid=1)
-        state.pending_query = (3, 0)
-        _, res = response_receive(state, TaskResponse(correct=False, src=3), pool)
-        assert res == 0
+        _, _, res = self._receive(False)
+        assert res.tolist() == [0]
 
     def test_enlightened_at_exact_threshold(self):
         n, needed = 2, math.ceil(G1)
-        pool = make_pool(n)
-        a, b = make_state(0, n), make_state(1, n)
-        fill_correct(pool, a, 0, needed)
-        fill_correct(pool, b, 1, needed)
-        a.known = np.maximum(a.known, b.known)
-        assert response_compute(a, pool)
-        assert a.enlightened
+        pool, pop = make_pool(n), make_pop(n)
+        fill_correct(pool, pop, 0, 0, needed)
+        fill_correct(pool, pop, 1, 1, needed)
+        pop.known[0] = np.maximum(pop.known[0], pop.known[1])
+        assert response_compute(pop, ids(0, 1), pool).tolist() == [0]
+        assert pop.enlightened.tolist() == [True, False]
 
     def test_not_enlightened_when_one_target_short(self):
         n, needed = 2, math.ceil(G1)
-        pool = make_pool(n)
-        a, b = make_state(0, n), make_state(1, n)
-        fill_correct(pool, a, 0, needed)
-        fill_correct(pool, b, 1, needed - 1)
-        a.known = np.maximum(a.known, b.known)
-        assert not response_compute(a, pool)
+        pool, pop = make_pool(n), make_pop(n)
+        fill_correct(pool, pop, 0, 0, needed)
+        fill_correct(pool, pop, 1, 1, needed - 1)
+        pop.known[0] = np.maximum(pop.known[0], pop.known[1])
+        assert response_compute(pop, ids(0), pool).size == 0
+        assert not pop.enlightened[0]
 
     def test_crash_marks_settle_everything(self):
         n = 3
-        pool = make_pool(n)
-        state = make_state(0, n)
+        pool, pop = make_pool(n), make_pop(n)
         for target in range(n):
-            pool.add_record(0, state.round, target, -1)
-            state.known[0] = state.round
-            state.round += 1
-        assert response_compute(state, pool)
+            pool.add_records([0], target, [target], [-1])
+            pop.known[0, 0] = target
+        assert response_compute(pop, ids(0), pool).tolist() == [0]
 
 
 class TestGossip:
     def test_unenlightened_sends_one_share(self):
-        state = make_state(n=1024)
-        out = gossip_send(state, rng_stream(3, 0, 0, "gossip"))
+        pop = make_pop(1024)
+        out = gossip_send(pop, ids(0), draws(pop, 3, 0, "gossip", ids(0)))
         assert len(out) == 1
-        assert isinstance(out[0][1], Share)
-        assert out[0][1].level == 0
+        assert not out.is_profess[0]
+        assert out.level.tolist() == [0]
+        assert out.dst[0] == rng_stream(3, 0, 0, "gossip").integers(1024)
 
     def test_enlightened_profess_fanout_and_level_bump(self):
-        state = make_state(n=1024, enlightened=True, level=1)
-        out = gossip_send(state, rng_stream(3, 0, 0, "gossip"))
-        message = out[0][1]
-        assert isinstance(message, Profess)
-        assert message.level == 1
+        pop = make_pop(1024)
+        pop.enlightened[0] = True
+        pop.level[0] = 1
+        out = gossip_send(pop, ids(0), draws(pop, 3, 0, "gossip", ids(0)))
+        assert out.is_profess.all()
+        assert out.level.tolist() == [1] * len(out)
         assert 1 <= len(out) <= 10  # 10 draws, deduplicated
-        assert len({d for d, _ in out}) == len(out)
-        assert state.level == 2
+        dests = out.dst.tolist()
+        assert dests == sorted(set(dests))
+        fresh = rng_stream(3, 0, 0, "gossip").integers(0, 1024, size=10)
+        assert dests == np.unique(fresh).tolist()
+        assert pop.level[0] == 2
 
     def test_snapshot_is_immutable_copy(self):
-        state = make_state(n=8)
-        state.known[0] = 5
-        out = gossip_send(state, rng_stream(3, 0, 0, "gossip"))
-        snapshot = out[0][1].knowledge
-        state.known[0] = 9
-        assert snapshot[0] == 5
-        with pytest.raises(ValueError):
-            snapshot[0] = 1
+        # 0 gossips to 1 while 1 gossips to 2: 2 receives what 1 knew when
+        # it sent, not what it learns from 0 in the same step.
+        pop, pool = make_pop(3), make_pool(3)
+        pop.known[0, 0] = 5
+        pop.known[1, 1] = 3
+        gossip_compute(pop, ids(0, 1, 2), gossip([0, 1], [1, 2], [0, 0],
+                                                 [False, False]), pool)
+        assert pop.known[1].tolist() == [5, 3, -1]
+        assert pop.known[2].tolist() == [-1, 3, -1]
+        assert pop.known[0].tolist() == [5, -1, -1]
 
     def test_profess_receipt_enlightens(self):
-        state = make_state(n=8)
-        msg = Profess(knowledge=empty_knowledge(8), level=0, src=3)
-        enlightened_now, _ = gossip_receive(state, [msg])
-        assert enlightened_now and state.enlightened
+        pop = make_pop(8)
+        enlightened_now, _ = gossip_receive(pop, ids(0), profess(3, 0, 0))
+        assert enlightened_now.tolist() == [0] and pop.enlightened[0]
 
     def test_higher_priority_profess_resets_level(self):
-        state = make_state(pid=5, n=16, enlightened=True, level=3)
-        msg = Profess(knowledge=empty_knowledge(16), level=3, src=9)
-        _, reset = gossip_receive(state, [msg])
-        assert reset and state.level == 0
+        pop = make_pop(16)
+        pop.enlightened[5], pop.level[5] = True, 3
+        _, reset = gossip_receive(pop, ids(5), profess(9, 5, 3))
+        assert reset.tolist() == [5] and pop.level[5] == 0
 
     def test_share_does_not_reset_by_default(self):
-        state = make_state(pid=5, n=16, enlightened=True, level=3)
-        msg = Share(knowledge=empty_knowledge(16), level=0, src=9)
-        _, reset = gossip_receive(state, [msg])
-        assert not reset and state.level == 3
+        pop = make_pop(16)
+        pop.enlightened[5], pop.level[5] = True, 3
+        _, reset = gossip_receive(pop, ids(5), share(9, 5))
+        assert reset.size == 0 and pop.level[5] == 3
 
     def test_literal_reset_ranges_over_shares(self):
-        # A share always carries level 0, so the literal comparison can only
-        # reset an already-zero level: observationally a no-op.
-        state = make_state(pid=5, n=16)
-        msg = Share(knowledge=empty_knowledge(16), level=0, src=9)
-        _, reset = gossip_receive(state, [msg], literal_level_reset=True)
-        assert not reset and state.level == 0
+        # A share always carries level 0, so comparing against shares as
+        # well could only reset an already-zero level: never an event.
+        pop = make_pop(16)
+        out = gossip_send(pop, ids(9), draws(pop, 1, 0, "gossip", ids(9)))
+        assert out.level.tolist() == [0]
+        _, reset = gossip_receive(pop, ids(5), share(9, 5))
+        assert reset.size == 0 and pop.level[5] == 0
 
     def test_empty_inbox_no_change(self):
-        state = make_state(pid=5, n=16, enlightened=True, level=3)
-        assert gossip_receive(state, []) == (False, False)
-        assert state.level == 3
+        pop = make_pop(16)
+        pop.enlightened[5], pop.level[5] = True, 3
+        now, reset = gossip_receive(pop, ids(5), gossip([], [], [], []))
+        assert now.size == 0 and reset.size == 0
+        assert pop.level[5] == 3
 
     def test_halt_on_profess_at_threshold(self):
         n = 4
-        pool = make_pool(n)
-        state = make_state(0, n)
-        sender = make_state(1, n)
+        pool, pop = make_pool(n), make_pop(n)
         for target in range(n):
-            fill_correct(pool, sender, target, math.ceil(G1))
-        msg = Profess(knowledge=sender.known.copy(), level=ceil_log2(n), src=1)
-        halted = gossip_compute(state, [msg], pool)
-        assert halted and state.halted
-        assert state.estimates is not None
-        assert not np.isnan(state.estimates).any()
+            fill_correct(pool, pop, 1, target, math.ceil(G1),
+                         first_round=target * math.ceil(G1))
+        halted = gossip_compute(pop, ids(0, 1), profess(1, 0, ceil_log2(n)), pool)
+        assert halted.tolist() == [0] and pop.halted.tolist() == [True, False, False, False]
+        assert not np.isnan(pop.estimates[0]).any()
 
     def test_share_below_threshold_merges_and_advances(self):
         n = 4
-        pool = make_pool(n)
-        state = make_state(0, n)
-        other = make_state(1, n)
-        fill_correct(pool, other, 2, 3)
-        msg = Share(knowledge=other.known.copy(), level=0, src=1)
-        halted = gossip_compute(state, [msg], pool)
-        assert not halted
-        assert state.round == 1
-        assert state.known[1] == other.known[1]
-        assert len(pool.records_for(state.known, 2)) == 3
+        pool, pop = make_pool(n), make_pop(n)
+        fill_correct(pool, pop, 1, 2, 3)
+        halted = gossip_compute(pop, ids(0, 1), share(1, 0), pool)
+        assert halted.size == 0 and not pop.halted.any()
+        assert pop.known[0, 1] == pop.known[1, 1]
+        assert len(pool.records_for(pop.known[0], 2)) == 3
 
     def test_merge_is_idempotent(self):
         n = 4
-        pool = make_pool(n)
-        state = make_state(0, n)
-        other = make_state(1, n)
-        fill_correct(pool, other, 2, 3)
-        msg = Share(knowledge=other.known.copy(), level=0, src=1)
-        gossip_compute(state, [msg, msg], pool)
-        before = pool.records_for(state.known, 2)
-        gossip_compute(state, [msg], pool)
-        assert pool.records_for(state.known, 2) == before
+        pool, pop = make_pool(n), make_pop(n)
+        fill_correct(pool, pop, 1, 2, 3)
+        gossip_compute(pop, ids(0, 1), gossip([1, 1], [0, 0], [0, 0], [False, False]),
+                       pool)
+        before = pool.records_for(pop.known[0], 2)
+        gossip_compute(pop, ids(0, 1), share(1, 0), pool)
+        assert pool.records_for(pop.known[0], 2) == before

@@ -10,6 +10,8 @@ and the final per-target record sets.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relsim.adversary import (
     ConstantReliability,
@@ -34,6 +36,8 @@ def assert_equivalent(config):
     assert production.halt_rounds == reference.halt_rounds
     assert production.metrics.messages_total == reference.messages_total
     assert dict(production.metrics.messages_by_type) == reference.messages_by_type
+    for name, value in reference.counters.items():
+        assert getattr(production.metrics, name) == value, name
     assert set(production.estimates) == set(reference.estimates)
     for pid, expected in reference.estimates.items():
         got = production.estimates[pid]
@@ -63,6 +67,11 @@ CASES = [
               reliability=UniformReliability(0.3, 1.0)),
     RunConfig(n=4, params=EstimationParams(0.9, 0.45), seed=7,
               model=LinearFraction(0.5), crash_pattern=SpreadCrashes(6)),
+    # Seeds above 2**63 once keyed two stream constructions differently.
+    RunConfig(n=6, params=EstimationParams(0.8, 0.4), seed=2**63 + 1,
+              model=LinearFraction(0.3), crash_pattern=UpfrontCrashes()),
+    RunConfig(n=5, params=EstimationParams(0.8, 0.4), seed=2**64 - 1,
+              reliability=UniformReliability(0.5, 1.0)),
 ]
 
 
@@ -87,8 +96,54 @@ def test_final_knowledge_sets_match():
                        reliability=UniformReliability(0.5, 1.0))
     reference = run_reference(config)
     production = run(config, keep_states=True)
-    for state in production.states:
-        expected = reference.knowledge[state.id]
-        reconstructed = production.pool.all_records_for(state.known)
+    for pid in range(config.n):
+        expected = reference.knowledge[pid]
+        reconstructed = production.pool.all_records_for(production.known[pid])
         for j in range(config.n):
-            assert reconstructed[j] == expected[j], (state.id, j)
+            assert reconstructed[j] == expected[j], (pid, j)
+
+
+MODELS = st.one_of(
+    st.builds(LinearFraction, st.floats(0.0, 0.7)),
+    st.builds(FractionalPolynomial, st.floats(0.2, 0.9)),
+    st.builds(PolyLog, st.floats(1.0, 1.5)),
+)
+PATTERNS = st.one_of(
+    st.just(NoCrashes()),
+    st.just(UpfrontCrashes()),
+    st.builds(SpreadCrashes, st.integers(1, 20)),
+)
+RELIABILITIES = st.one_of(
+    st.builds(ConstantReliability, st.floats(0.2, 1.0)),
+    st.builds(lambda lo, width: UniformReliability(lo, min(1.0, lo + width)),
+              st.floats(0.2, 1.0), st.floats(0.0, 0.8)),
+)
+SEEDS = st.one_of(st.integers(0, 2**32), st.integers(0, 2**64 - 1),
+                  st.sampled_from([0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]))
+
+
+@st.composite
+def small_configs(draw):
+    n = draw(st.integers(1, 48))
+    # Caps keep the quadratic reference fast at large n; loose parameters
+    # (a low stopping threshold) let many runs complete within them.
+    cap = 200 if n <= 8 else 100 if n <= 24 else 60
+    loose = draw(st.booleans())
+    return RunConfig(
+        n=n,
+        params=EstimationParams(
+            draw(st.floats(0.7, 0.95) if loose else st.floats(0.3, 0.95)),
+            draw(st.floats(0.3, 0.5) if loose else st.floats(0.05, 0.5))),
+        model=draw(MODELS),
+        crash_pattern=draw(PATTERNS),
+        reliability=draw(RELIABILITIES),
+        seed=draw(SEEDS),
+        max_rounds=draw(st.integers(1, cap)),
+        literal_ell_reset=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=150)
+@given(small_configs())
+def test_engine_matches_straightline_on_random_configs(config):
+    assert_equivalent(config)
