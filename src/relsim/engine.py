@@ -64,133 +64,6 @@ class RunConfig:
     reliability: ReliabilitySpec = ConstantReliability(1.0)
     seed: int = 0
     max_rounds: Optional[int] = None
-    literal_ell_reset: bool = False
-
-    def effective_max_rounds(self) -> int:
-        if self.max_rounds is not None:
-            return self.max_rounds
-        if isinstance(self.model, LinearFraction):
-            return 64 * max(1, ceil_log2(self.n))
-        return 8 * self.n
-
-    def validate(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if gamma1(self.params) <= 1.0:
-            raise ConfigError(
-                "stopping threshold must exceed 1; pick a smaller delta"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.params.epsilon,
-            "delta": self.params.delta,
-            "model": _model_to_dict(self.model),
-            "crash_pattern": _pattern_to_dict(self.crash_pattern),
-            "reliability": _reliability_to_dict(self.reliability),
-            "seed": self.seed,
-            "max_rounds": self.max_rounds,
-            "literal_ell_reset": self.literal_ell_reset,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "RunConfig":
-        return RunConfig(
-            n=int(data["n"]),
-            params=EstimationParams(float(data["epsilon"]), float(data["delta"])),
-            model=_model_from_dict(data.get("model", {"kind": "lf", "f": 0.25})),
-            crash_pattern=_pattern_from_dict(
-                data.get("crash_pattern", {"kind": "none"})
-            ),
-            reliability=_reliability_from_dict(
-                data.get("reliability", {"kind": "constant", "p": 1.0})
-            ),
-            seed=int(data.get("seed", 0)),
-            max_rounds=(
-                int(data["max_rounds"]) if data.get("max_rounds") is not None else None
-            ),
-            literal_ell_reset=bool(data.get("literal_ell_reset", False)),
-        )
-
-
-def _model_to_dict(model: AdversaryModel) -> dict:
-    if isinstance(model, LinearFraction):
-        return {"kind": "lf", "f": model.f}
-    if isinstance(model, FractionalPolynomial):
-        return {"kind": "fp", "a": model.a, "coeff": model.coeff}
-    if isinstance(model, PolyLog):
-        return {"kind": "pl", "c": model.c, "coeff": model.coeff}
-    raise ConfigError(f"unknown model {model!r}")
-
-
-def _model_from_dict(data: dict) -> AdversaryModel:
-    kind = data["kind"]
-    if kind == "lf":
-        return LinearFraction(float(data.get("f", 0.25)))
-    if kind == "fp":
-        return FractionalPolynomial(float(data.get("a", 0.5)),
-                                    float(data.get("coeff", 1.0)))
-    if kind == "pl":
-        return PolyLog(float(data.get("c", 1.0)), float(data.get("coeff", 1.0)))
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
-def _pattern_to_dict(pattern: CrashPattern) -> dict:
-    if isinstance(pattern, NoCrashes):
-        return {"kind": "none"}
-    if isinstance(pattern, UpfrontCrashes):
-        return {"kind": "upfront"}
-    if isinstance(pattern, SpreadCrashes):
-        return {"kind": "spread", "rounds": pattern.rounds}
-    raise ConfigError(f"unknown crash pattern {pattern!r}")
-
-
-def _pattern_from_dict(data: dict) -> CrashPattern:
-    kind = data["kind"]
-    if kind == "none":
-        return NoCrashes()
-    if kind == "upfront":
-        return UpfrontCrashes()
-    if kind == "spread":
-        return SpreadCrashes(int(data["rounds"]))
-    raise ConfigError(f"unknown crash pattern kind {kind!r}")
-
-
-def _reliability_to_dict(spec: ReliabilitySpec) -> dict:
-    if isinstance(spec, ConstantReliability):
-        return {"kind": "constant", "p": spec.p}
-    if isinstance(spec, UniformReliability):
-        return {"kind": "uniform", "lo": spec.lo, "hi": spec.hi}
-    if isinstance(spec, ExplicitReliability):
-        return {"kind": "explicit", "values": list(spec.values)}
-    raise ConfigError(f"unknown reliability spec {spec!r}")
-
-
-def _reliability_from_dict(data: dict) -> ReliabilitySpec:
-    kind = data["kind"]
-    if kind == "constant":
-        return ConstantReliability(float(data["p"]))
-    if kind == "uniform":
-        return UniformReliability(float(data["lo"]), float(data["hi"]))
-    if kind == "explicit":
-        return ExplicitReliability(tuple(float(v) for v in data["values"]))
-    raise ConfigError(f"unknown reliability kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run, including the adversary's seed."""
-
-    n: int
-    params: EstimationParams
-    model: AdversaryModel = LinearFraction(0.25)
-    crash_pattern: CrashPattern = NoCrashes()
-    reliability: ReliabilitySpec = ConstantReliability(1.0)
-    seed: int = 0
-    max_rounds: Optional[int] = None
     # Selects comparing a processor's priority against shares as well as
     # professes on gossip receive.  Shares carry level 0, so that never
     # changes a run; the field stays so that configs round-trip unchanged.

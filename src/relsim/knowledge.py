@@ -37,8 +37,6 @@ from .estimator import CRASHED, EstimationParams, ResultRecord, gamma1
 # How many of the globally hardest (last-settled) targets the cheap
 # prescreen inspects before a full satisfaction scan.
 _PRESCREEN_TARGETS = 32
-# Most knowledge cells gathered at once by a merge.
-_MERGE_CELLS = 1 << 22
 
 
 def empty_knowledge(n: int) -> np.ndarray:
@@ -69,17 +67,14 @@ def merge_knowledge(known: np.ndarray, dst: np.ndarray, src: np.ndarray) -> None
     order = np.argsort(dst, kind="stable")
     rows, bounds = runs(dst[order])
     src = src[order]
-    merged = np.empty((rows.size, known.shape[1]), dtype=known.dtype)
-    # Gather a bounded number of cells at a time: a profess storm can send
-    # many rows to each destination.
-    step = max(1, _MERGE_CELLS // known.shape[1])
-    lo = 0
-    while lo < rows.size:
-        hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + step, side="right")) - 1)
-        block = known[src[bounds[lo]:bounds[hi]]]
-        merged[lo:hi] = np.maximum.reduceat(block, bounds[lo:hi] - bounds[lo], axis=0)
-        lo = hi
-    known[rows] = np.maximum(known[rows], merged)
+    sizes = np.diff(bounds)
+    merged = known[rows]
+    # The k-th message of every destination that has one, for each k in
+    # turn: each pass gathers at most one row per destination.
+    for k in range(int(sizes.max())):
+        group = np.flatnonzero(sizes > k) if k else slice(None)
+        merged[group] = np.maximum(merged[group], known[src[bounds[:-1][group] + k]])
+    known[rows] = merged
 
 
 class RecordPool:
@@ -162,14 +157,12 @@ class RecordPool:
         if not np.count_nonzero(at):
             return
         for target, value in zip(targets[at].tolist(), res[at].tolist()):
-            if self._settled[target]:
+            if self._settled[target] or value == 0:
                 continue
             if value == 1:
                 counted[target] += 1
                 if counted[target] < self.needed:
                     continue
-            elif value == 0:
-                continue
             else:
                 self._global_crash[target] = True
             self._settled[target] = True
@@ -313,10 +306,10 @@ class RecordPool:
         with np.errstate(divide="ignore", invalid="ignore"):
             values = self.gamma1 / trial_count.astype(np.float64)
         estimates[reached] = values[reached]
-        if np.count_nonzero(is_crash):
+        if is_crash.any():
             crash_known = mask & is_crash
-            if np.count_nonzero(crash_known):
-                estimates[np.unique(tgt[crash_known])] = CRASHED
+            if crash_known.any():
+                estimates[tgt[crash_known]] = CRASHED
         return estimates
 
     def records_for(self, known: np.ndarray, target: int) -> set[ResultRecord]:

@@ -189,12 +189,11 @@ class StageDraws:
         value, rejected = self._first_draw()
         if rows is not None:
             value, rejected = value[rows], rejected[rows]
-        else:
-            rows = np.arange(value.size)
         if np.count_nonzero(rejected):
             value = value.copy()
             for i in np.flatnonzero(rejected).tolist():
-                value[i] = self.exact(rows[i]).integers(self.n)
+                row = i if rows is None else rows[i]
+                value[i] = self.exact(row).integers(self.n)
         return value
 
     def fanout(self, rows: np.ndarray, k: np.ndarray):

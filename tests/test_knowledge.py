@@ -11,7 +11,6 @@ from relsim.estimator import (
     estimation,
     gamma1,
 )
-from relsim import knowledge
 from relsim.knowledge import RecordPool, empty_knowledge, merge_knowledge
 
 PARAMS = EstimationParams(0.5, 0.1)
@@ -120,7 +119,7 @@ def test_snapshot_semantics_shared_message_not_mutated():
     assert known.tolist() == [[2, 7, 2], [5, 2, 2], [2, 7, 2]]
 
 
-def test_merge_in_bounded_blocks_matches_one_pass(monkeypatch):
+def test_merge_matches_rowwise_maximum():
     rng = np.random.default_rng(3)
     known = rng.integers(-1, 50, size=(12, 12)).astype(np.int32)
     dst = rng.integers(0, 12, size=60)
@@ -130,7 +129,6 @@ def test_merge_in_bounded_blocks_matches_one_pass(monkeypatch):
         rows = src[dst == d]
         if rows.size:
             expected[d] = np.maximum(known[d], known[rows].max(axis=0))
-    monkeypatch.setattr(knowledge, "_MERGE_CELLS", 30)
     merge_knowledge(known, dst, src)
     assert np.array_equal(known, expected)
 
