@@ -236,8 +236,8 @@ class StageDraws:
         count = np.diff(starts)
         owner = np.repeat(np.arange(rows.size), count)
         slot = np.arange(requesters.size) - starts[owner]
-        # Word 0 went to integers(n) (unless n is 1, which draws nothing);
-        # the doubles come from words 1 to 3.
+        # Word 0 went to integers(n), so the doubles come from words 1 to 3.
+        # integers(1) takes no word, so n = 1 goes the exact way.
         words = self.words[rows[owner], 1 + np.minimum(slot, _DOUBLES - 1)]
         correct = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 < p[owner]
         exact = self._first_draw()[1][rows] | (count > min(_DOUBLES, cap))
