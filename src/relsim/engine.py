@@ -378,13 +378,13 @@ def _emit_each(trace, rnd, stage, step, pids, kind):
         trace.emit(rnd, stage, step, pid, kind)
 
 
+_TASK_KIND = {"query": "task_request", "response": "task_response"}
+
+
 def _kinds(messages: Messages, stage: str) -> list[str]:
     if stage == "gossip":
         return ["profess" if f else "share" for f in messages.is_profess.tolist()]
     return [_TASK_KIND[stage]] * len(messages)
-
-
-_TASK_KIND = {"query": "task_request", "response": "task_response"}
 
 
 def _route(messages, stage, pop, rnd, metrics, trace) -> Messages:
