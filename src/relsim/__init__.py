@@ -24,7 +24,6 @@ from .adversary import (
     UpfrontCrashes,
     assign_probabilities,
     generate_crash_schedule,
-    is_live,
     validate_schedule,
 )
 from .engine import ConfigError, RunConfig, RunResult, rng_stream, run
@@ -76,7 +75,6 @@ __all__ = [
     "gamma",
     "gamma1",
     "generate_crash_schedule",
-    "is_live",
     "rng_stream",
     "run",
     "scaling_fit",

@@ -331,6 +331,7 @@ def criterion_7() -> CriterionResult:
     rng = np.random.default_rng(707)
     problems = []
     runs = 200
+    completions = {"all_halted": 0, "round_cap_hit": 0}
     for trial in range(runs):
         n = int(rng.integers(2, 65))
         model_pick = trial % 3
@@ -357,6 +358,7 @@ def criterion_7() -> CriterionResult:
             seed=int(rng.integers(0, 2**32)),
         )
         result = engine.run(config, collect_trace=True, check_invariants=True)
+        completions[result.completion] += 1
         problems.extend(
             f"trial {trial}: {p}" for p in _check_trace_invariants(result)
         )
@@ -368,9 +370,12 @@ def criterion_7() -> CriterionResult:
         if len(problems) > 5:
             break
     passed = not problems
+    ended = (f"{completions['all_halted']} all_halted, "
+             f"{completions['round_cap_hit']} round_cap_hit "
+             f"of {sum(completions.values())} runs")
     return CriterionResult(
         7, "protocol invariant suite (200 randomized configs)", passed,
-        "no violations" if passed else "; ".join(problems[:5]))
+        f"no violations; {ended}" if passed else "; ".join(problems[:5] + [ended]))
 
 
 def criterion_8() -> CriterionResult:

@@ -195,11 +195,6 @@ class CrashSchedule:
         return n - len(self.crash_round)
 
 
-def is_live(schedule: CrashSchedule, pid: int, rnd: int) -> bool:
-    """True iff ``pid`` has no crash entry or crashes strictly after ``rnd``."""
-    return schedule.is_live(pid, rnd)
-
-
 def max_crashes(n: int, model: AdversaryModel) -> int:
     """Largest crash count the model permits for a population of ``n``."""
     floor = model.survivor_floor(n)

@@ -107,8 +107,9 @@ class RunConfig:
         _check_keys(data, _CONFIG_KEYS, "config")
         try:
             return RunConfig(
-                n=int(data["n"]),
-                params=EstimationParams(float(data["epsilon"]), float(data["delta"])),
+                n=_integer(data["n"], "n"),
+                params=EstimationParams(_real(data["epsilon"], "epsilon"),
+                                        _real(data["delta"], "delta")),
                 model=_model_from_dict(data.get("model", {"kind": "lf", "f": 0.25})),
                 crash_pattern=_pattern_from_dict(
                     data.get("crash_pattern", {"kind": "none"})
@@ -116,11 +117,13 @@ class RunConfig:
                 reliability=_reliability_from_dict(
                     data.get("reliability", {"kind": "constant", "p": 1.0})
                 ),
-                seed=int(data.get("seed", 0)),
+                seed=_integer(data.get("seed", 0), "seed"),
                 max_rounds=(
-                    int(data["max_rounds"]) if data.get("max_rounds") is not None else None
+                    _integer(data["max_rounds"], "max_rounds")
+                    if data.get("max_rounds") is not None else None
                 ),
-                literal_ell_reset=bool(data.get("literal_ell_reset", False)),
+                literal_ell_reset=_flag(data.get("literal_ell_reset", False),
+                                        "literal_ell_reset"),
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed config: {exc!r}") from exc
@@ -140,6 +143,31 @@ def _check_keys(data, allowed, what: str) -> None:
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown {what} keys {unknown}; allowed: {list(allowed)}")
+
+
+def _real(value, what: str) -> float:
+    """A config number: an int or a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{what} is out of range: {value!r}") from exc
+
+
+def _integer(value, what: str) -> int:
+    """A config count: an int, or a float with no fractional part."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _kind(data, table: dict, what: str) -> str:
@@ -163,11 +191,12 @@ def _model_to_dict(model: AdversaryModel) -> dict:
 def _model_from_dict(data: dict) -> AdversaryModel:
     kind = _kind(data, _MODEL_KEYS, "model")
     if kind == "lf":
-        return LinearFraction(float(data.get("f", 0.25)))
+        return LinearFraction(_real(data.get("f", 0.25), "model f"))
     if kind == "fp":
-        return FractionalPolynomial(float(data.get("a", 0.5)),
-                                    float(data.get("coeff", 1.0)))
-    return PolyLog(float(data.get("c", 1.0)), float(data.get("coeff", 1.0)))
+        return FractionalPolynomial(_real(data.get("a", 0.5), "model a"),
+                                    _real(data.get("coeff", 1.0), "model coeff"))
+    return PolyLog(_real(data.get("c", 1.0), "model c"),
+                   _real(data.get("coeff", 1.0), "model coeff"))
 
 
 def _pattern_to_dict(pattern: CrashPattern) -> dict:
@@ -186,7 +215,7 @@ def _pattern_from_dict(data: dict) -> CrashPattern:
         return NoCrashes()
     if kind == "upfront":
         return UpfrontCrashes()
-    return SpreadCrashes(int(data["rounds"]))
+    return SpreadCrashes(_integer(data["rounds"], "spread rounds"))
 
 
 def _reliability_to_dict(spec: ReliabilitySpec) -> dict:
@@ -202,10 +231,12 @@ def _reliability_to_dict(spec: ReliabilitySpec) -> dict:
 def _reliability_from_dict(data: dict) -> ReliabilitySpec:
     kind = _kind(data, _RELIABILITY_KEYS, "reliability")
     if kind == "constant":
-        return ConstantReliability(float(data["p"]))
+        return ConstantReliability(_real(data["p"], "reliability p"))
     if kind == "uniform":
-        return UniformReliability(float(data["lo"]), float(data["hi"]))
-    return ExplicitReliability(tuple(float(v) for v in data["values"]))
+        return UniformReliability(_real(data["lo"], "reliability lo"),
+                                  _real(data["hi"], "reliability hi"))
+    return ExplicitReliability(tuple(_real(v, "reliability value")
+                                     for v in data["values"]))
 
 
 @dataclass
@@ -220,7 +251,6 @@ class RunResult:
 
     config: RunConfig
     completion: str
-    halt_rounds: list[Optional[int]]
     estimates: dict[int, np.ndarray]
     metrics: RunMetrics
     truth: ReliabilityAssignment
@@ -362,7 +392,6 @@ def run(
     return RunResult(
         config=config,
         completion=completion,
-        halt_rounds=list(metrics.per_processor_halt_round),
         estimates=dict(sorted(pop.estimates.items())),
         metrics=metrics,
         truth=truth,

@@ -208,7 +208,7 @@ def summarize(result: RunResult, dump_estimates: bool = False) -> dict:
         "delivered": metrics.delivered,
         "dropped_to_crashed": metrics.dropped_to_crashed,
         "dropped_to_halted": metrics.dropped_to_halted,
-        "halted": sum(1 for r in result.halt_rounds if r is not None),
+        "halted": sum(1 for r in metrics.per_processor_halt_round if r is not None),
         "crashed": len(result.schedule.crash_round),
         "accuracy": {
             "fraction_within_band": report.fraction_within_band,
@@ -261,7 +261,6 @@ class ExperimentSpec:
     grid: tuple[int, ...]
     trials: int
     base: RunConfig
-    out_dir: Optional[Path] = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -371,8 +370,7 @@ def _cmd_sweep(args) -> int:
     if args.n is None:
         args.n = grid[0]
     base = config_from_args(args)
-    spec = ExperimentSpec(grid=grid, trials=args.trials, base=base,
-                          out_dir=args.out, jobs=args.jobs)
+    spec = ExperimentSpec(grid=grid, trials=args.trials, base=base, jobs=args.jobs)
     rows = sweep(spec)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "sweep.csv"

@@ -11,15 +11,27 @@ snapshot is a cheap array copy, instead of copying record sets whose total
 size grows with the run.
 
 Record *contents* -- which target each record is about and its res value --
-are stored once in a shared, append-only :class:`RecordPool`.  The pool also
-answers the two knowledge queries the protocol needs, vectorized over all
-targets at once:
+are stored once in a shared, append-only :class:`RecordPool`, in creation
+order: rounds ascending and, within a round, creators ascending.  The pool
+answers the two knowledge queries the protocol needs:
 
-* :meth:`RecordPool.satisfies` -- does a knowledge vector contain, for every
-  target, either enough correct results or a crash record?
-* :meth:`RecordPool.estimate_all` -- final per-target estimates for a
-  knowledge vector, replaying each target's known records in (round,
-  requester) order.
+* :meth:`RecordPool.satisfied` -- which of a batch of knowledge rows hold,
+  for every target, either enough correct results or a crash record
+  (:meth:`RecordPool.satisfies` is its one-row form);
+* :meth:`RecordPool.estimate_all` -- final per-target estimates for one
+  row, replaying each target's known records in (round, requester) order,
+  which is creation order.
+
+Both rest on the *known-prefix cut*.  For a row ``k``, ``cut(k)`` is the
+smallest ``k[s]`` over the creators ``s`` it lags behind (``k[s]`` below the
+last round ``s`` created a record in); every record of a round ``<= cut(k)``
+is known to ``k``.  Push gossip spreads each record to every worker within
+O(log n) rounds, so the cut trails the newest round by a few rounds, and
+only the records after it -- a contiguous suffix of the pool's arrays --
+differ between rows.  Facts about the whole pool answer everything before
+the cut: the round each target settled globally, and the round and value at
+which each target's replay over all records crosses the threshold.  The
+queries then scan only the suffix.
 
 Literal record sets can be reconstructed with :meth:`records_for`; tests
 compare the two representations against a straight-line reference
@@ -34,9 +46,12 @@ import numpy as np
 
 from .estimator import CRASHED, EstimationParams, ResultRecord, gamma1
 
-# How many of the globally hardest (last-settled) targets the cheap
-# prescreen inspects before a full satisfaction scan.
-_PRESCREEN_TARGETS = 32
+# Round of an event that has not happened: a target not yet settled, never
+# crossing the threshold or never reported crashed.
+_NEVER = np.iinfo(np.int32).max
+
+# Most (row, record) cells :meth:`RecordPool.satisfied` compares at once.
+_MASK_CELLS = 1 << 15
 
 
 def empty_knowledge(n: int) -> np.ndarray:
@@ -77,12 +92,29 @@ def merge_knowledge(known: np.ndarray, dst: np.ndarray, src: np.ndarray) -> None
     known[rows] = merged
 
 
+def _first_crossing(bounds: np.ndarray, correct: np.ndarray, base, needed: int):
+    """Position of the record at which each group's correct count reaches
+    ``needed``, or -1 where it never does.
+
+    Group ``i`` is ``correct[bounds[i]:bounds[i + 1]]`` in replay order and
+    starts from ``base`` (per group, or one value for all).  The count only
+    grows within a group, so the crossing record is the group's first one
+    at or above the threshold.
+    """
+    starts = bounds[:-1]
+    running = np.cumsum(correct)
+    offset = np.repeat(running[starts] - correct[starts] - base, bounds[1:] - starts)
+    hits = np.add.reduceat(running - offset >= needed, starts)
+    return np.where(hits > 0, bounds[1:] - hits, -1)
+
+
 class RecordPool:
     """Append-only store of every result record created during one run.
 
     Records are registered once by the engine when a requester records its
-    query outcome.  Per-creator prefixes index into this pool, so all
-    per-processor knowledge operations are filters over the shared arrays.
+    query outcome, in creation order.  Per-creator prefixes index into this
+    pool, so all per-processor knowledge operations are filters over the
+    shared arrays.
     """
 
     def __init__(self, n: int, gamma1_value: float):
@@ -97,22 +129,24 @@ class RecordPool:
         self._rnd = np.empty(0, dtype=np.int32)
         self._tgt = np.empty(0, dtype=np.int32)
         self._res = np.empty(0, dtype=np.int32)
-        # Caches over the records, each valid for the record count it holds.
-        self._flat_len = -1
-        self._flat: tuple | None = None
-        self._sorted_len = -1
-        self._sorted: tuple | None = None
-        self._prescreen_len = -1
-        self._prescreen: tuple | None = None
-        self._buffers_for = -1
-        # Global settlement gate: a processor's knowledge can only satisfy
-        # the per-target condition if the union of everything ever created
-        # does.  Checked in O(1) before any per-processor scan.
+        # (round, creator) of the newest record.
+        self._tail = (-1, -1)
+        # Global settlement, kept up to date as records arrive: a row can
+        # settle a target only if the union of everything created does, and
+        # it does once it knows the record the union settled at.
         self._global_correct = np.zeros(n, dtype=np.int64)
-        self._global_crash = np.zeros(n, dtype=bool)
-        self._settled = np.zeros(n, dtype=bool)
+        self._settle_round = np.full(n, _NEVER, dtype=np.int32)
         self._num_settled = 0
-        self._settle_order: list[int] = []
+        # Totals over the first ``_synced`` records, brought up to date by
+        # the queries (:meth:`_sync`) rather than on every append.
+        self._synced = 0
+        self._total = np.zeros(n, dtype=np.int64)
+        self._total_correct = np.zeros(n, dtype=np.int64)
+        self._first_crash = np.full(n, _NEVER, dtype=np.int32)
+        self._last = np.full(n, -1, dtype=np.int32)
+        # Replay over all records, valid for the record count it holds.
+        self._full_len = -1
+        self._full: tuple | None = None
 
     def __len__(self) -> int:
         return self._count
@@ -121,30 +155,40 @@ class RecordPool:
         """Register the record ``(res, creator, rnd)`` about ``target``."""
         self.add_records([creator], rnd, [target], [res])
 
-    def add_records(self, creators, rnd, targets, res) -> None:
-        """Register one record per creator, in the given order.
+    def add_records(self, creators, rnd: int, targets, res) -> None:
+        """Register one record per creator, all created in round ``rnd``.
 
-        ``rnd`` is one round for all of them or one round each.
+        Records arrive in creation order: rounds never go backwards and
+        creators ascend strictly within a round.  A batch breaking that
+        order raises :class:`ValueError` and adds nothing.
         """
-        k = len(creators)
-        end = self._count + k
+        start = self._count
+        end = start + len(creators)
+        if start == end:
+            return
         if end > self._src.size:
             size = max(1024, 2 * self._src.size, end)
             for name in ("_src", "_rnd", "_tgt", "_res"):
                 grown = np.empty(size, dtype=np.int32)
-                grown[:self._count] = getattr(self, name)[:self._count]
+                grown[:start] = getattr(self, name)[:start]
                 setattr(self, name, grown)
-        self._src[self._count:end] = creators
-        self._rnd[self._count:end] = rnd
-        self._tgt[self._count:end] = targets
-        self._res[self._count:end] = res
-        self._settle(self._tgt[self._count:end], self._res[self._count:end])
+        self._src[start:end] = creators
+        self._rnd[start:end] = rnd
+        self._tgt[start:end] = targets
+        self._res[start:end] = res
+        new = self._src[start:end]
+        last_rnd, last_src = self._tail
+        if (rnd < last_rnd or (rnd == last_rnd and new[0] <= last_src)
+                or np.count_nonzero(new[1:] <= new[:-1])):
+            raise ValueError("records must be added in (round, creator) order")
+        self._tail = (rnd, int(new[-1]))
+        self._settle(self._tgt[start:end], rnd, self._res[start:end])
         self._count = end
 
-    def _settle(self, targets: np.ndarray, res: np.ndarray) -> None:
+    def _settle(self, targets: np.ndarray, rnd: int, res: np.ndarray) -> None:
         # A target settles globally at its first crash record, or at the
         # correct record that brings its correct count to ``needed``.
-        fresh = ~self._settled[targets]
+        fresh = self._settle_round[targets] == _NEVER
         if not np.count_nonzero(fresh):
             return
         targets, res = targets[fresh], res[fresh]
@@ -157,124 +201,110 @@ class RecordPool:
         if not np.count_nonzero(at):
             return
         for target, value in zip(targets[at].tolist(), res[at].tolist()):
-            if self._settled[target] or value == 0:
+            if self._settle_round[target] != _NEVER or value == 0:
                 continue
             if value == 1:
                 counted[target] += 1
                 if counted[target] < self.needed:
                     continue
-            else:
-                self._global_crash[target] = True
-            self._settled[target] = True
+            self._settle_round[target] = rnd
             self._num_settled += 1
-            self._settle_order.append(target)
 
     def globally_estimable(self) -> bool:
         """True once every target could be settled by a full-union knower."""
         return self._num_settled == self.n
 
-    def _flat_arrays(self):
-        if self._flat_len != self._count:
-            count = self._count
-            src = self._src[:count]
-            rnd = self._rnd[:count]
-            tgt = self._tgt[:count]
-            res = self._res[:count]
-            crash_sel = res == -1
-            self._flat = (
-                src,
-                rnd,
-                tgt,
-                res,
-                res == 1,
-                src[crash_sel],
-                rnd[crash_sel],
-                tgt[crash_sel],
-            )
-            self._flat_len = count
-        return self._flat
+    def _sync(self) -> None:
+        """Bring the per-target totals, the first crash rounds and each
+        creator's last round up to date with the records."""
+        start, end = self._synced, self._count
+        if start == end:
+            return
+        src, rnd, tgt, res = (a[start:end] for a in
+                              (self._src, self._rnd, self._tgt, self._res))
+        self._total += np.bincount(tgt, minlength=self.n)
+        self._total_correct += np.bincount(tgt[res == 1], minlength=self.n)
+        np.maximum.at(self._last, src, rnd)
+        crash = res == -1
+        if np.count_nonzero(crash):
+            np.minimum.at(self._first_crash, tgt[crash], rnd[crash])
+        self._synced = end
 
-    def min_records_needed(self) -> int:
-        """Lower bound on how many records any satisfying knowledge holds."""
-        crashed_targets = int(np.count_nonzero(self._global_crash))
-        return self.needed * (self.n - crashed_targets) + crashed_targets
+    def _cut(self, known: np.ndarray):
+        """Known-prefix cut of each row of ``known`` (of the vector, if 1-D).
 
-    def _prescreen_arrays(self):
-        # Records about the targets that were globally hardest to settle.
-        # A knowledge vector failing to settle one of them cannot satisfy,
-        # and in the rounds before first enlightenment that is the common
-        # case, so this small scan rejects most candidates cheaply.
-        if self._prescreen_len != self._count:
-            src, rnd, tgt, res, is_corr, _cs, _cr, _ct = self._flat_arrays()
-            hard = self._settle_order[-_PRESCREEN_TARGETS:]
-            sel = np.isin(tgt, np.asarray(hard, dtype=np.int32)) & is_corr
-            compact = np.full(self.n, -1, dtype=np.int32)
-            for k, j in enumerate(hard):
-                compact[j] = k
-            self._prescreen = (
-                src[sel],
-                rnd[sel],
-                compact[tgt[sel]],
-                len(hard),
-                np.asarray(hard, dtype=np.int64),
-            )
-            self._prescreen_len = self._count
-        return self._prescreen
+        Every record of a round at or below the cut is known to the row.
+        A row that lags no creator gets the newest round, so its suffix is
+        empty.  Call after :meth:`_sync`.
+        """
+        top = int(self._rnd[self._count - 1]) if self._count else -1
+        return np.where(known < self._last, known, top).min(axis=-1)
 
-    def satisfies(self, known: np.ndarray) -> bool:
-        """Whether ``known`` settles every target.
+    def _suffix(self, cut: int) -> int:
+        """Index of the first record of a round after ``cut``."""
+        return int(np.searchsorted(self._rnd[:self._count], cut, side="right"))
+
+    def satisfied(self, known: np.ndarray) -> np.ndarray:
+        """Which rows of the knowledge matrix ``known`` settle every target.
 
         A target is settled by at least ``needed`` known correct records or
-        by any known crash record.
+        by any known crash record.  Returns one bool per row.
         """
-        if not self.globally_estimable():
-            return False
-        if int(known.sum(dtype=np.int64)) + self.n < self.min_records_needed():
-            return False
-        src, rnd, tgt, res, is_corr, crash_src, crash_rnd, crash_tgt = (
-            self._flat_arrays()
-        )
-        crashed = np.zeros(self.n, dtype=bool)
-        if crash_src.size:
-            crashed[crash_tgt[known[crash_src] >= crash_rnd]] = True
-        # Cheap necessary test over the hardest targets first.
-        psrc, prnd, ptgt, nhard, hard_ids = self._prescreen_arrays()
-        counts = np.bincount(ptgt[known[psrc] >= prnd], minlength=nhard)
-        if not np.all(crashed[hard_ids] | (counts >= self.needed)):
-            return False
-        # Full scan.
-        mask = known[src] >= rnd
-        correct = np.bincount(tgt[mask & is_corr], minlength=self.n)
-        return bool(np.all(crashed | (correct >= self.needed)))
+        rows = len(known)
+        if not rows or not self.globally_estimable():
+            return np.zeros(rows, dtype=bool)
+        self._sync()
+        cut = int(self._cut(known).min())
+        # Every row knows each record of a round <= cut, so a target that
+        # settled globally by then is settled for all of them.
+        hard = self._settle_round > cut
+        if not np.count_nonzero(hard):
+            return np.ones(rows, dtype=bool)
+        start = self._suffix(cut)
+        tgt = self._tgt[start:self._count]
+        # The suffix records that can settle a hard target, grouped by
+        # target in creation order.  A hard target's settling record is one
+        # of them, so every hard target has a group.
+        pick = np.flatnonzero(hard[tgt] & (self._res[start:self._count] != 0))
+        pick = pick[np.argsort(tgt[pick], kind="stable")] + start
+        targets, bounds = runs(self._tgt[pick])
+        starts = bounds[:-1]
+        src, rnd, correct = self._src[pick], self._rnd[pick], self._res[pick] == 1
+        crash = ~correct if not np.all(correct) else None
+        before = self._total_correct[targets] - np.add.reduceat(correct, starts)
+        out = np.empty(rows, dtype=bool)
+        # Rows in blocks, so the rows x records mask stays small.
+        step = max(1, _MASK_CELLS // pick.size)
+        for i in range(0, rows, step):
+            knows = known[i:i + step, src] >= rnd
+            settled = before + np.add.reduceat(knows & correct, starts, axis=1) >= self.needed
+            if crash is not None:
+                settled |= np.logical_or.reduceat(knows & crash, starts, axis=1)
+            out[i:i + step] = settled.all(axis=1)
+        return out
 
-    def _sorted_arrays(self):
-        # Records ordered by (target, round, requester); within one target
-        # this is exactly the replay order of the estimator.
-        if self._sorted_len != self._count:
-            src, rnd, tgt, res, _ic, _cs, _cr, _ct = self._flat_arrays()
-            order = np.lexsort((src, rnd, tgt))
-            tgt_s = tgt[order]
-            counts = np.bincount(tgt_s, minlength=self.n)
-            starts = np.concatenate(([0], np.cumsum(counts)))
-            self._sorted = (
-                src[order],
-                rnd[order],
-                tgt_s,
-                res[order] == 1,
-                res[order] == -1,
-                starts,
-            )
-            self._sorted_len = self._count
-        return self._sorted
+    def satisfies(self, known: np.ndarray) -> bool:
+        """Whether the knowledge vector ``known`` settles every target."""
+        return bool(self.satisfied(known[np.newaxis])[0])
 
-    def _buffers(self, length: int):
-        if self._buffers_for != length:
-            self._buf_mask = np.empty(length, dtype=bool)
-            self._buf_corr = np.empty(length, dtype=bool)
-            self._buf_cc = np.zeros(length + 1, dtype=np.int32)
-            self._buf_ck = np.zeros(length + 1, dtype=np.int32)
-            self._buffers_for = length
-        return self._buf_mask, self._buf_corr, self._buf_cc, self._buf_ck
+    def _full_replay(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each target's replay over every record: the round of the record
+        that crosses the threshold (:data:`_NEVER` if none does) and the
+        estimate ``gamma1 / N`` there (NaN if none)."""
+        if self._full_len != self._count:
+            order = np.argsort(self._tgt[:self._count], kind="stable")
+            targets, bounds = runs(self._tgt[order])
+            at = _first_crossing(bounds, self._res[order] == 1, 0, self.needed)
+            crossed = at >= 0
+            targets, at = targets[crossed], at[crossed]
+            cross_round = np.full(self.n, _NEVER, dtype=np.int32)
+            cross_round[targets] = self._rnd[order[at]]
+            value = np.full(self.n, np.nan)
+            # N counts the target's records before the crossing one.
+            value[targets] = self.gamma1 / (at - bounds[:-1][crossed]).astype(np.float64)
+            self._full = (cross_round, value)
+            self._full_len = self._count
+        return self._full
 
     def estimate_all(self, known: np.ndarray) -> np.ndarray:
         """Per-target estimates for one knowledge vector.
@@ -284,37 +314,38 @@ class RecordPool:
         ``N`` the last known-record prefix whose res-sum is below the
         threshold.  Matches the record-set estimator exactly.
         """
-        src, rnd, tgt, is_corr, is_crash, starts = self._sorted_arrays()
-        mask, corr, cum_correct, cum_known = self._buffers(len(src))
-        np.greater_equal(known[src], rnd, out=mask)
-        np.logical_and(mask, is_corr, out=corr)
-        np.cumsum(corr, out=cum_correct[1:])
-        np.cumsum(mask, out=cum_known[1:])
-        seg_start = starts[:-1]
-        seg_end = starts[1:]
-        # First position in each target's segment where the known res-sum
-        # reaches the threshold; the global cumsum is nondecreasing so a
-        # single searchsorted answers all targets.
-        cross = np.searchsorted(
-            cum_correct, cum_correct[seg_start] + self.needed, side="left"
-        )
-        estimates = np.full(self.n, np.nan)
-        reached = cross <= seg_end
-        # The record at raw position cross-1 is the known correct record that
-        # crosses the threshold; N counts known records strictly before it.
-        trial_count = cum_known[np.maximum(cross, 1) - 1] - cum_known[seg_start]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = self.gamma1 / trial_count.astype(np.float64)
-        estimates[reached] = values[reached]
-        if is_crash.any():
-            crash_known = mask & is_crash
-            if crash_known.any():
-                estimates[tgt[crash_known]] = CRASHED
+        self._sync()
+        cross_round, value = self._full_replay()
+        cut = int(self._cut(known))
+        start = self._suffix(cut)
+        src, rnd, tgt, res = (a[start:self._count] for a in
+                              (self._src, self._rnd, self._tgt, self._res))
+        seen = known[src] >= rnd
+        # The row knows every record up to a crossing at or before its cut,
+        # so its replay of that target is the full one.
+        done = cross_round <= cut
+        estimates = np.where(done, value, np.nan)
+        # The other targets: replay the row's known suffix records, starting
+        # from the records of rounds up to the cut, all known and none crossing.
+        pick = np.flatnonzero(seen & ~done[tgt])
+        if pick.size:
+            pick = pick[np.argsort(tgt[pick], kind="stable")]
+            targets, bounds = runs(tgt[pick])
+            before = self._total[targets] - np.bincount(tgt, minlength=self.n)[targets]
+            before_correct = (self._total_correct[targets]
+                              - np.bincount(tgt[res == 1], minlength=self.n)[targets])
+            at = _first_crossing(bounds, res[pick] == 1, before_correct, self.needed)
+            crossed = at >= 0
+            trials = before + at - bounds[:-1]
+            estimates[targets[crossed]] = self.gamma1 / trials[crossed].astype(np.float64)
+        estimates[self._first_crash <= cut] = CRASHED
+        estimates[tgt[seen & (res == -1)]] = CRASHED
         return estimates
 
     def records_for(self, known: np.ndarray, target: int) -> set[ResultRecord]:
         """Reconstruct the literal record set about ``target``."""
-        src, rnd, tgt, res, _ic, _cs, _cr, _ct = self._flat_arrays()
+        src, rnd, tgt, res = (a[:self._count] for a in
+                              (self._src, self._rnd, self._tgt, self._res))
         sel = (tgt == target) & (known[src] >= rnd)
         return {
             ResultRecord(int(v), int(s), int(r))

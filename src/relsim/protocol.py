@@ -188,7 +188,7 @@ def response_compute(pop: Population, active: np.ndarray,
     if not pool.globally_estimable():
         return active[:0]
     waiting = active[~pop.enlightened[active]]
-    flipped = waiting[[pool.satisfies(pop.known[i]) for i in waiting]]
+    flipped = waiting[pool.satisfied(pop.known[waiting])]
     pop.enlightened[flipped] = True
     return flipped
 

@@ -17,7 +17,6 @@ from relsim.adversary import (
     UpfrontCrashes,
     assign_probabilities,
     generate_crash_schedule,
-    is_live,
     max_crashes,
     validate_schedule,
 )
@@ -122,12 +121,12 @@ class TestValidate:
 class TestIsLive:
     def test_boundary_round(self):
         schedule = CrashSchedule({3: 5})
-        assert not is_live(schedule, 3, 5)
-        assert is_live(schedule, 3, 4)
+        assert not schedule.is_live(3, 5)
+        assert schedule.is_live(3, 4)
 
     def test_absent_always_live(self):
         schedule = CrashSchedule({})
-        assert is_live(schedule, 0, 10**6)
+        assert schedule.is_live(0, 10**6)
 
 
 @given(

@@ -119,7 +119,7 @@ class TestRun:
         result = run(RunConfig(n=1, params=PARAMS, seed=7), collect_trace=True)
         assert result.completion == "all_halted"
         needed = math.ceil(gamma1(PARAMS))
-        assert result.halt_rounds == [needed - 1]
+        assert result.metrics.per_processor_halt_round == [needed - 1]
         assert result.estimates[0][0] == gamma1(PARAMS) / (needed - 1)
         kinds = [(e.kind, e.round) for e in result.trace.events]
         assert ("enlighten", needed - 1) in kinds
@@ -134,7 +134,7 @@ class TestRun:
                            reliability=UniformReliability(0.5, 1.0))
         a = run(config, collect_trace=True)
         b = run(config, collect_trace=True)
-        assert a.halt_rounds == b.halt_rounds
+        assert a.metrics.per_processor_halt_round == b.metrics.per_processor_halt_round
         assert a.metrics.messages_total == b.metrics.messages_total
         assert [e.to_line() for e in a.trace.events] == [
             e.to_line() for e in b.trace.events
@@ -162,12 +162,13 @@ class TestRun:
         result = run(config)
         assert result.completion == "all_halted"
         crashed = set(result.schedule.crash_round)
+        halt_rounds = result.metrics.per_processor_halt_round
         for pid in range(32):
             if pid in crashed:
-                assert result.halt_rounds[pid] is None
+                assert halt_rounds[pid] is None
             else:
-                assert result.halt_rounds[pid] is not None
-        max_halt = max(r for r in result.halt_rounds if r is not None)
+                assert halt_rounds[pid] is not None
+        max_halt = max(r for r in halt_rounds if r is not None)
         assert result.metrics.rounds_to_all_halt == max_halt + 1
 
     def test_work_bounded_by_nine_steps_per_round(self):
@@ -210,7 +211,7 @@ class TestRun:
                             literal_ell_reset=True)
         a = run(base, collect_trace=True)
         b = run(literal, collect_trace=True)
-        assert a.halt_rounds == b.halt_rounds
+        assert a.metrics.per_processor_halt_round == b.metrics.per_processor_halt_round
         assert [e.to_line() for e in a.trace.events] == [
             e.to_line() for e in b.trace.events
         ]

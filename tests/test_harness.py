@@ -118,8 +118,7 @@ class TestTraceArtifacts:
 class TestSweep:
     def _spec(self, tmp_path, trials=2, jobs=1):
         base = RunConfig(n=16, params=EstimationParams(0.5, 0.1), seed=100)
-        return ExperimentSpec(grid=(16, 32), trials=trials, base=base,
-                              out_dir=tmp_path, jobs=jobs)
+        return ExperimentSpec(grid=(16, 32), trials=trials, base=base, jobs=jobs)
 
     def test_row_shape(self, tmp_path):
         rows = sweep(self._spec(tmp_path))
@@ -216,6 +215,29 @@ class TestInputFaults:
                            reliability=ExplicitReliability((0.5,) * 5), seed=9,
                            max_rounds=12, literal_ell_reset=True)
         assert RunConfig.from_dict(config.to_dict()) == config
+
+    @pytest.mark.parametrize("text", [
+        '{"n": "abc"}',
+        '{"n": 4, "epsilon": "x"}',
+        '{"n": 4, "model": {"kind": "lf", "f": "x"}}',
+        '{"n": 2.7}',
+        '{"n": true}',
+        '{"n": 4, "seed": 1.5}',
+        '{"n": 4, "seed": false}',
+        '{"n": 4, "max_rounds": 2.9}',
+        '{"n": 4, "crash_pattern": {"kind": "spread", "rounds": 1.5}}',
+        '{"n": 4, "crash_pattern": {"kind": "spread", "rounds": true}}',
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, text, capsys):
+        path = self._config_file(tmp_path, text)
+        assert main(["run", "--config", path]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_integral_float_counts_accepted(self):
+        config = RunConfig.from_dict({"n": 4.0, "epsilon": 0.5, "delta": 0.1,
+                                      "seed": 3.0, "max_rounds": 9.0})
+        assert (config.n, config.seed, config.max_rounds) == (4, 3, 9)
+        assert all(type(v) is int for v in (config.n, config.seed, config.max_rounds))
 
     @pytest.mark.parametrize("seed", ["-3", str(2**64)])
     def test_seed_outside_uint64_is_usage_error(self, seed, capsys):

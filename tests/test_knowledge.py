@@ -143,10 +143,89 @@ def test_add_records_matches_one_at_a_time():
         batched.add_records(creators, rnd, targets, res)
         for c, t, r in zip(creators, targets, res):
             single.add_record(int(c), rnd, int(t), int(r))
-        assert batched._settle_order == single._settle_order
+        assert np.array_equal(batched._settle_round, single._settle_round)
         assert batched._num_settled == single._num_settled
-        assert np.array_equal(batched._global_crash, single._global_crash)
     assert len(batched) == len(single)
     known = np.full(6, 119, dtype=np.int32)
     assert np.array_equal(batched.estimate_all(known), single.estimate_all(known),
                           equal_nan=True)
+
+
+def test_out_of_order_append_raises():
+    pool = RecordPool(3, G1)
+    pool.add_records([0, 2], 4, [1, 1], [1, 1])
+    with pytest.raises(ValueError):
+        pool.add_records([1], 3, [0], [1])  # round goes backwards
+    with pytest.raises(ValueError):
+        pool.add_records([1], 4, [0], [1])  # creator 1 after creator 2 in round 4
+    with pytest.raises(ValueError):
+        pool.add_records([2, 0], 5, [0, 0], [1, 1])  # creators descend in a round
+    with pytest.raises(ValueError):
+        pool.add_records([1, 1], 5, [0, 0], [1, 1])  # one creator twice in a round
+    assert len(pool) == 2
+    pool.add_records([0, 1, 2], 5, [0, 0, 0], [1, 0, -1])
+    assert len(pool) == 5
+
+
+SMALL = EstimationParams(0.9, 0.5)  # needs 11 correct results per target
+
+
+def _brute_satisfies(pool, known):
+    return all(
+        sum(r.res == 1 for r in records) >= pool.needed
+        or any(r.res == -1 for r in records)
+        for records in pool.all_records_for(known)
+    )
+
+
+def _assert_estimates_match(pool, known):
+    batch = pool.estimate_all(known)
+    reference = estimation(pool.all_records_for(known), SMALL)
+    for j, want in enumerate(reference):
+        if want is UNDETERMINED:
+            assert math.isnan(batch[j])
+        else:
+            assert batch[j] == want
+
+
+def _rows(rng, last):
+    """Knowledge rows near the cut's edge cases: fully known, lagging every
+    creator by 0-20 rounds, and one creator far behind the rest."""
+    n = len(last)
+    rows = [last.copy()]
+    for _ in range(3):
+        lag = rng.integers(0, rng.integers(0, 21) + 1, size=n)
+        rows.append(np.maximum(last - lag, -1))
+    for _ in range(2):
+        row = last.copy()
+        s = int(rng.integers(n))
+        row[s] = int(rng.integers(-1, last[s] + 1))
+        rows.append(row)
+    return np.array(rows, dtype=np.int32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       rounds=st.integers(1, 90), skip=st.sampled_from([0.0, 0.2, 0.6]),
+       crash=st.sampled_from([0.0, 0.01, 0.05]))
+def test_cut_queries_match_brute_force(seed, n, rounds, skip, crash):
+    # Pools built round by round, creators skipping rounds, queried at
+    # checkpoints along the way and compared with the record sets.
+    rng = np.random.default_rng(seed)
+    pool = RecordPool(n, gamma1(SMALL))
+    last = np.full(n, -1, dtype=np.int32)
+    checkpoints = set(rng.integers(0, rounds, size=3).tolist()) | {rounds - 1}
+    for rnd in range(rounds):
+        creators = np.flatnonzero(rng.random(n) >= skip)
+        roll = rng.random(creators.size)
+        res = np.where(roll < crash, -1, np.where(roll < 0.65, 1, 0))
+        pool.add_records(creators, rnd, rng.integers(0, n, size=creators.size), res)
+        last[creators] = rnd
+        if rnd not in checkpoints:
+            continue
+        rows = _rows(rng, last)
+        got = pool.satisfied(rows)
+        assert got.tolist() == [_brute_satisfies(pool, k) for k in rows]
+        assert [pool.satisfies(k) for k in rows] == got.tolist()
+        for known in rows:
+            _assert_estimates_match(pool, known)

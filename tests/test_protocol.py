@@ -54,12 +54,15 @@ def share(src, dst):
     return gossip([src], [dst], [0], [False])
 
 
-def fill_correct(pool, pop, pid, target, count, first_round=0):
-    # ``pid`` records ``count`` correct results about ``target`` in its own
-    # consecutive rounds.
-    for rnd in range(first_round, first_round + count):
-        pool.add_records([pid], rnd, [target], [1])
-        pop.known[pid, pid] = rnd
+def fill_correct(pool, pop, plan, first_round=0):
+    # Each ``pid: (target, count)`` of ``plan`` records ``count`` correct
+    # results about ``target`` in consecutive rounds from ``first_round``,
+    # appended round by round as the engine does.
+    for k in range(max(count for _target, count in plan.values())):
+        pids = sorted(pid for pid, (_target, count) in plan.items() if count > k)
+        rnd = first_round + k
+        pool.add_records(pids, rnd, [plan[pid][0] for pid in pids], [1] * len(pids))
+        pop.known[pids, pids] = rnd
 
 
 class TestPriority:
@@ -183,8 +186,7 @@ class TestResponse:
     def test_enlightened_at_exact_threshold(self):
         n, needed = 2, math.ceil(G1)
         pool, pop = make_pool(n), make_pop(n)
-        fill_correct(pool, pop, 0, 0, needed)
-        fill_correct(pool, pop, 1, 1, needed)
+        fill_correct(pool, pop, {0: (0, needed), 1: (1, needed)})
         pop.known[0] = np.maximum(pop.known[0], pop.known[1])
         assert response_compute(pop, ids(0, 1), pool).tolist() == [0]
         assert pop.enlightened.tolist() == [True, False]
@@ -192,8 +194,7 @@ class TestResponse:
     def test_not_enlightened_when_one_target_short(self):
         n, needed = 2, math.ceil(G1)
         pool, pop = make_pool(n), make_pop(n)
-        fill_correct(pool, pop, 0, 0, needed)
-        fill_correct(pool, pop, 1, 1, needed - 1)
+        fill_correct(pool, pop, {0: (0, needed), 1: (1, needed - 1)})
         pop.known[0] = np.maximum(pop.known[0], pop.known[1])
         assert response_compute(pop, ids(0), pool).size == 0
         assert not pop.enlightened[0]
@@ -279,7 +280,7 @@ class TestGossip:
         n = 4
         pool, pop = make_pool(n), make_pop(n)
         for target in range(n):
-            fill_correct(pool, pop, 1, target, math.ceil(G1),
+            fill_correct(pool, pop, {1: (target, math.ceil(G1))},
                          first_round=target * math.ceil(G1))
         halted = gossip_compute(pop, ids(0, 1), profess(1, 0, ceil_log2(n)), pool)
         assert halted.tolist() == [0] and pop.halted.tolist() == [True, False, False, False]
@@ -288,7 +289,7 @@ class TestGossip:
     def test_share_below_threshold_merges_and_advances(self):
         n = 4
         pool, pop = make_pool(n), make_pop(n)
-        fill_correct(pool, pop, 1, 2, 3)
+        fill_correct(pool, pop, {1: (2, 3)})
         halted = gossip_compute(pop, ids(0, 1), share(1, 0), pool)
         assert halted.size == 0 and not pop.halted.any()
         assert pop.known[0, 1] == pop.known[1, 1]
@@ -297,7 +298,7 @@ class TestGossip:
     def test_merge_is_idempotent(self):
         n = 4
         pool, pop = make_pool(n), make_pop(n)
-        fill_correct(pool, pop, 1, 2, 3)
+        fill_correct(pool, pop, {1: (2, 3)})
         gossip_compute(pop, ids(0, 1), gossip([1, 1], [0, 0], [0, 0], [False, False]),
                        pool)
         before = pool.records_for(pop.known[0], 2)

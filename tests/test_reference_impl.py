@@ -33,7 +33,7 @@ def assert_equivalent(config):
     production = run(config)
     reference = run_reference(config)
     assert production.completion == reference.completion
-    assert production.halt_rounds == reference.halt_rounds
+    assert production.metrics.per_processor_halt_round == reference.halt_rounds
     assert production.metrics.messages_total == reference.messages_total
     assert dict(production.metrics.messages_by_type) == reference.messages_by_type
     for name, value in reference.counters.items():
