@@ -12,7 +12,7 @@ results because every random draw comes from a counter-based stream keyed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -95,7 +95,7 @@ class RunConfig:
             "delta": self.params.delta,
             "model": _model_to_dict(self.model),
             "crash_pattern": _pattern_to_dict(self.crash_pattern),
-            "reliability": _reliability_to_dict(self.reliability),
+            "reliability": reliability_to_dict(self.reliability),
             "seed": self.seed,
             "max_rounds": self.max_rounds,
             "literal_ell_reset": self.literal_ell_reset,
@@ -110,7 +110,7 @@ class RunConfig:
                 n=_integer(data["n"], "n"),
                 params=EstimationParams(_real(data["epsilon"], "epsilon"),
                                         _real(data["delta"], "delta")),
-                model=_model_from_dict(data.get("model", {"kind": "lf", "f": 0.25})),
+                model=_model_from_dict(data.get("model", {"kind": "lf"})),
                 crash_pattern=_pattern_from_dict(
                     data.get("crash_pattern", {"kind": "none"})
                 ),
@@ -131,7 +131,9 @@ class RunConfig:
 
 _CONFIG_KEYS = ("n", "epsilon", "delta", "model", "crash_pattern", "reliability",
                 "seed", "max_rounds", "literal_ell_reset")
-_MODEL_KEYS = {"lf": ("f",), "fp": ("a", "coeff"), "pl": ("c", "coeff")}
+_MODELS = {"lf": LinearFraction, "fp": FractionalPolynomial, "pl": PolyLog}
+# Each model kind's config keys: the fields of its dataclass.
+MODEL_KEYS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in _MODELS.items()}
 _PATTERN_KEYS = {"none": (), "upfront": (), "spread": ("rounds",)}
 _RELIABILITY_KEYS = {"constant": ("p",), "uniform": ("lo", "hi"),
                      "explicit": ("values",)}
@@ -189,14 +191,9 @@ def _model_to_dict(model: AdversaryModel) -> dict:
 
 
 def _model_from_dict(data: dict) -> AdversaryModel:
-    kind = _kind(data, _MODEL_KEYS, "model")
-    if kind == "lf":
-        return LinearFraction(_real(data.get("f", 0.25), "model f"))
-    if kind == "fp":
-        return FractionalPolynomial(_real(data.get("a", 0.5), "model a"),
-                                    _real(data.get("coeff", 1.0), "model coeff"))
-    return PolyLog(_real(data.get("c", 1.0), "model c"),
-                   _real(data.get("coeff", 1.0), "model coeff"))
+    kind = _kind(data, MODEL_KEYS, "model")
+    return _MODELS[kind](**{key: _real(data[key], f"model {key}")
+                            for key in MODEL_KEYS[kind] if key in data})
 
 
 def _pattern_to_dict(pattern: CrashPattern) -> dict:
@@ -218,7 +215,7 @@ def _pattern_from_dict(data: dict) -> CrashPattern:
     return SpreadCrashes(_integer(data["rounds"], "spread rounds"))
 
 
-def _reliability_to_dict(spec: ReliabilitySpec) -> dict:
+def reliability_to_dict(spec: ReliabilitySpec) -> dict:
     if isinstance(spec, ConstantReliability):
         return {"kind": "constant", "p": spec.p}
     if isinstance(spec, UniformReliability):

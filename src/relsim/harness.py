@@ -24,27 +24,19 @@ import math
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import engine
 from .adversary import (
     AdversaryDomainError,
     ConstantReliability,
     ExplicitReliability,
-    FractionalPolynomial,
-    LinearFraction,
-    NoCrashes,
-    PolyLog,
-    SpreadCrashes,
     UniformReliability,
-    UpfrontCrashes,
 )
-from .engine import ConfigError, RunConfig, RunResult
-from .estimator import EstimationParams, ParameterDomainError
+from .engine import MODEL_KEYS, ConfigError, RunConfig, RunResult, reliability_to_dict
+from .estimator import ParameterDomainError
 from .metrics import accuracy
 from .trace import EVENT_KINDS, SCHEMA_VERSION
 
@@ -144,18 +136,12 @@ def config_from_args(args) -> RunConfig:
     if args.delta is not None:
         merged["delta"] = args.delta
     if args.model is not None:
-        model = {"kind": args.model}
-        if args.model == "lf":
-            model["f"] = args.f if args.f is not None else 0.25
-        elif args.model == "fp":
-            model["a"] = args.a if args.a is not None else 0.5
-            model["coeff"] = args.coeff if args.coeff is not None else 1.0
-        else:
-            model["c"] = args.c if args.c is not None else 1.0
-            model["coeff"] = args.coeff if args.coeff is not None else 1.0
-        merged["model"] = model
+        # The model's own defaults fill the fields not given.
+        merged["model"] = {"kind": args.model, **{
+            key: getattr(args, key) for key in MODEL_KEYS[args.model]
+            if getattr(args, key) is not None}}
     if args.p_spec is not None:
-        merged["reliability"] = engine._reliability_to_dict(parse_p_spec(args.p_spec))
+        merged["reliability"] = reliability_to_dict(parse_p_spec(args.p_spec))
     if args.crash_pattern is not None:
         if args.crash_pattern == "spread":
             merged["crash_pattern"] = {"kind": "spread", "rounds": args.spread_rounds}
@@ -380,11 +366,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .acceptance import run_criteria
+    from .acceptance import CRITERIA, run_criteria
 
     only = None
     if args.only:
-        only = [int(x) for x in args.only.split(",")]
+        try:
+            only = [int(x) for x in args.only.split(",")]
+        except ValueError:
+            only = []
+        if not only or set(only) - set(CRITERIA):
+            raise UsageError(f"bad --only {args.only!r}; criteria are numbered "
+                             f"{min(CRITERIA)}-{max(CRITERIA)}")
     results = run_criteria(only)
     failed = 0
     for res in results:

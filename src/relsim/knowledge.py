@@ -28,9 +28,10 @@ last round ``s`` created a record in); every record of a round ``<= cut(k)``
 is known to ``k``.  Push gossip spreads each record to every worker within
 O(log n) rounds, so the cut trails the newest round by a few rounds, and
 only the records after it -- a contiguous suffix of the pool's arrays --
-differ between rows.  Facts about the whole pool answer everything before
-the cut: the round each target settled globally, and the round and value at
-which each target's replay over all records crosses the threshold.  The
+differ between rows.  Per-target facts about the whole pool, kept up to
+date as each round's records arrive, answer everything before the cut:
+each target's record and correct counts, its first crash round, and the
+round and value at which its correct count crosses the threshold.  The
 queries then scan only the suffix.
 
 Literal record sets can be reconstructed with :meth:`records_for`; tests
@@ -44,10 +45,10 @@ import math
 
 import numpy as np
 
-from .estimator import CRASHED, EstimationParams, ResultRecord, gamma1
+from .estimator import CRASHED, ResultRecord
 
-# Round of an event that has not happened: a target not yet settled, never
-# crossing the threshold or never reported crashed.
+# Round of an event that has not happened: a target never crossing the
+# threshold or never reported crashed.
 _NEVER = np.iinfo(np.int32).max
 
 # Most (row, record) cells :meth:`RecordPool.satisfied` compares at once.
@@ -123,30 +124,32 @@ class RecordPool:
         # Integer mass needed per target: prefix sums are integers, so
         # "sum >= gamma1" is equivalent to "sum >= ceil(gamma1)".
         self.needed = math.ceil(gamma1_value)
-        # Records in creation order, in arrays that grow by doubling.
+        # Records in creation order, in arrays that grow by doubling.  The
+        # creator and target arrays are indices, so they are intp: numpy
+        # converts other index arrays on every use.
         self._count = 0
-        self._src = np.empty(0, dtype=np.int32)
+        self._src = np.empty(0, dtype=np.intp)
         self._rnd = np.empty(0, dtype=np.int32)
-        self._tgt = np.empty(0, dtype=np.int32)
+        self._tgt = np.empty(0, dtype=np.intp)
         self._res = np.empty(0, dtype=np.int32)
         # (round, creator) of the newest record.
         self._tail = (-1, -1)
-        # Global settlement, kept up to date as records arrive: a row can
-        # settle a target only if the union of everything created does, and
-        # it does once it knows the record the union settled at.
-        self._global_correct = np.zeros(n, dtype=np.int64)
-        self._settle_round = np.full(n, _NEVER, dtype=np.int32)
-        self._num_settled = 0
-        # Totals over the first ``_synced`` records, brought up to date by
-        # the queries (:meth:`_sync`) rather than on every append.
-        self._synced = 0
+        # Per-target facts over every record, updated round by round: record
+        # and correct counts, the round of the first crash record, and the
+        # round of the record that brings the correct count to ``needed``
+        # with the estimate ``gamma1 / N`` there (N counts the target's
+        # records before it).  ``_last`` holds each creator's newest round.
         self._total = np.zeros(n, dtype=np.int64)
         self._total_correct = np.zeros(n, dtype=np.int64)
         self._first_crash = np.full(n, _NEVER, dtype=np.int32)
+        self._cross_round = np.full(n, _NEVER, dtype=np.int32)
+        self._cross_value = np.full(n, np.nan)
         self._last = np.full(n, -1, dtype=np.int32)
-        # Replay over all records, valid for the record count it holds.
-        self._full_len = -1
-        self._full: tuple | None = None
+        # Targets crossed, and targets settled globally by a crossing or a
+        # crash record: a row can settle a target only if the union of
+        # everything created does.
+        self._num_crossed = 0
+        self._num_settled = 0
 
     def __len__(self) -> int:
         return self._count
@@ -169,7 +172,7 @@ class RecordPool:
         if end > self._src.size:
             size = max(1024, 2 * self._src.size, end)
             for name in ("_src", "_rnd", "_tgt", "_res"):
-                grown = np.empty(size, dtype=np.int32)
+                grown = np.empty(size, dtype=getattr(self, name).dtype)
                 grown[:start] = getattr(self, name)[:start]
                 setattr(self, name, grown)
         self._src[start:end] = creators
@@ -182,60 +185,47 @@ class RecordPool:
                 or np.count_nonzero(new[1:] <= new[:-1])):
             raise ValueError("records must be added in (round, creator) order")
         self._tail = (rnd, int(new[-1]))
-        self._settle(self._tgt[start:end], rnd, self._res[start:end])
         self._count = end
-
-    def _settle(self, targets: np.ndarray, rnd: int, res: np.ndarray) -> None:
-        # A target settles globally at its first crash record, or at the
-        # correct record that brings its correct count to ``needed``.
-        fresh = self._settle_round[targets] == _NEVER
-        if not np.count_nonzero(fresh):
-            return
-        targets, res = targets[fresh], res[fresh]
-        correct = np.bincount(targets[res == 1], minlength=self.n)
-        crossing = self._global_correct + correct >= self.needed
-        crossing[targets[res == -1]] = True
-        counted = self._global_correct.tolist()
-        self._global_correct += correct
-        at = crossing[targets]
-        if not np.count_nonzero(at):
-            return
-        for target, value in zip(targets[at].tolist(), res[at].tolist()):
-            if self._settle_round[target] != _NEVER or value == 0:
-                continue
-            if value == 1:
-                counted[target] += 1
-                if counted[target] < self.needed:
-                    continue
-            self._settle_round[target] = rnd
-            self._num_settled += 1
+        tgt, res = self._tgt[start:end], self._res[start:end]
+        self._last[new] = rnd
+        correct = res == 1
+        hits = np.bincount(tgt[correct], minlength=self.n)
+        self._total_correct += hits
+        reached = self._total_correct >= self.needed
+        crossing = np.count_nonzero(reached) > self._num_crossed
+        if crossing:
+            fresh = reached & (self._cross_round == _NEVER)
+            self._num_crossed += np.count_nonzero(fresh)
+            # Every record this round about a crossing target, grouped by
+            # target in creation order: the crossing record's place in its
+            # group counts the target's records this round before it.
+            pick = np.flatnonzero(fresh[tgt])
+            pick = pick[np.argsort(tgt[pick], kind="stable")]
+            targets, bounds = runs(tgt[pick])
+            at = _first_crossing(bounds, correct[pick],
+                                 self._total_correct[targets] - hits[targets], self.needed)
+            trials = self._total[targets] + at - bounds[:-1]
+            self._cross_round[targets] = rnd
+            self._cross_value[targets] = self.gamma1 / trials.astype(np.float64)
+        self._total += np.bincount(tgt, minlength=self.n)
+        crash = tgt[res == -1]
+        if crash.size:
+            crash = crash[self._first_crash[crash] == _NEVER]
+            self._first_crash[crash] = rnd
+        if crossing or crash.size:
+            self._num_settled = np.count_nonzero(
+                np.minimum(self._cross_round, self._first_crash) != _NEVER)
 
     def globally_estimable(self) -> bool:
         """True once every target could be settled by a full-union knower."""
         return self._num_settled == self.n
-
-    def _sync(self) -> None:
-        """Bring the per-target totals, the first crash rounds and each
-        creator's last round up to date with the records."""
-        start, end = self._synced, self._count
-        if start == end:
-            return
-        src, rnd, tgt, res = (a[start:end] for a in
-                              (self._src, self._rnd, self._tgt, self._res))
-        self._total += np.bincount(tgt, minlength=self.n)
-        self._total_correct += np.bincount(tgt[res == 1], minlength=self.n)
-        np.maximum.at(self._last, src, rnd)
-        crash = res == -1
-        if np.count_nonzero(crash):
-            np.minimum.at(self._first_crash, tgt[crash], rnd[crash])
-        self._synced = end
 
     def _cut(self, known: np.ndarray):
         """Known-prefix cut of each row of ``known`` (of the vector, if 1-D).
 
         Every record of a round at or below the cut is known to the row.
         A row that lags no creator gets the newest round, so its suffix is
-        empty.  Call after :meth:`_sync`.
+        empty.
         """
         top = int(self._rnd[self._count - 1]) if self._count else -1
         return np.where(known < self._last, known, top).min(axis=-1)
@@ -253,11 +243,10 @@ class RecordPool:
         rows = len(known)
         if not rows or not self.globally_estimable():
             return np.zeros(rows, dtype=bool)
-        self._sync()
         cut = int(self._cut(known).min())
         # Every row knows each record of a round <= cut, so a target that
         # settled globally by then is settled for all of them.
-        hard = self._settle_round > cut
+        hard = np.minimum(self._cross_round, self._first_crash) > cut
         if not np.count_nonzero(hard):
             return np.ones(rows, dtype=bool)
         start = self._suffix(cut)
@@ -287,25 +276,6 @@ class RecordPool:
         """Whether the knowledge vector ``known`` settles every target."""
         return bool(self.satisfied(known[np.newaxis])[0])
 
-    def _full_replay(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each target's replay over every record: the round of the record
-        that crosses the threshold (:data:`_NEVER` if none does) and the
-        estimate ``gamma1 / N`` there (NaN if none)."""
-        if self._full_len != self._count:
-            order = np.argsort(self._tgt[:self._count], kind="stable")
-            targets, bounds = runs(self._tgt[order])
-            at = _first_crossing(bounds, self._res[order] == 1, 0, self.needed)
-            crossed = at >= 0
-            targets, at = targets[crossed], at[crossed]
-            cross_round = np.full(self.n, _NEVER, dtype=np.int32)
-            cross_round[targets] = self._rnd[order[at]]
-            value = np.full(self.n, np.nan)
-            # N counts the target's records before the crossing one.
-            value[targets] = self.gamma1 / (at - bounds[:-1][crossed]).astype(np.float64)
-            self._full = (cross_round, value)
-            self._full_len = self._count
-        return self._full
-
     def estimate_all(self, known: np.ndarray) -> np.ndarray:
         """Per-target estimates for one knowledge vector.
 
@@ -314,8 +284,6 @@ class RecordPool:
         ``N`` the last known-record prefix whose res-sum is below the
         threshold.  Matches the record-set estimator exactly.
         """
-        self._sync()
-        cross_round, value = self._full_replay()
         cut = int(self._cut(known))
         start = self._suffix(cut)
         src, rnd, tgt, res = (a[start:self._count] for a in
@@ -323,8 +291,8 @@ class RecordPool:
         seen = known[src] >= rnd
         # The row knows every record up to a crossing at or before its cut,
         # so its replay of that target is the full one.
-        done = cross_round <= cut
-        estimates = np.where(done, value, np.nan)
+        done = self._cross_round <= cut
+        estimates = np.where(done, self._cross_value, np.nan)
         # The other targets: replay the row's known suffix records, starting
         # from the records of rounds up to the cut, all known and none crossing.
         pick = np.flatnonzero(seen & ~done[tgt])
@@ -356,7 +324,3 @@ class RecordPool:
         """Literal per-target record sets for a whole knowledge vector."""
         return [self.records_for(known, j) for j in range(self.n)]
 
-
-def pool_for(n: int, params: EstimationParams) -> RecordPool:
-    """Pool wired to the run's stopping threshold."""
-    return RecordPool(n, gamma1(params))

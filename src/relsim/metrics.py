@@ -4,8 +4,8 @@ Three cost measures are tracked: time (rounds until every live processor
 halts), work (total steps executed by live, unhalted processors; nine steps
 per round), and messages (point-to-point sends; a multicast to k distinct
 destinations counts k).  Accuracy reports compare final estimates against
-the adversary's hidden truth.  All counters are additive, so partial metrics
-from parallel step execution can be merged.
+the adversary's hidden truth.  The engine adds each step's counts once per
+step, for the whole population at once.
 """
 
 from __future__ import annotations

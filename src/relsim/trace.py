@@ -8,7 +8,7 @@ kind since profess storms emit a send event per point-to-point message.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 SCHEMA_VERSION = 1
@@ -61,6 +61,3 @@ class TraceCollector:
             TraceEvent(self._seq, rnd, stage, step, pid, kind, payload)
         )
         self._seq += 1
-
-    def count(self, kind: str) -> int:
-        return sum(1 for e in self.events if e.kind == kind)

@@ -36,6 +36,16 @@ class TestCliRun:
         printed = json.loads(capsys.readouterr().out)
         assert printed == summary
 
+    @pytest.mark.parametrize("flags, model", [
+        ([], {"kind": "lf", "f": 0.25}),
+        (["--model", "lf"], {"kind": "lf", "f": 0.25}),
+        (["--model", "fp", "--coeff", "2"], {"kind": "fp", "a": 0.5, "coeff": 2.0}),
+        (["--model", "pl", "--f", "0.9"], {"kind": "pl", "c": 1.0, "coeff": 1.0}),
+    ])
+    def test_model_flags_fill_model_defaults(self, flags, model, capsys):
+        assert main(["run", "--n", "8", "--max-rounds", "2", *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["model"] == model
+
     def test_n_zero_is_usage_error(self, capsys):
         assert main(["run", "--n", "0"]) == 2
         assert "error" in capsys.readouterr().err
@@ -261,6 +271,11 @@ class TestInputFaults:
         path.write_text(json.dumps(record) + "\n" + rest)
         assert main(["replay", "--trace", str(path)]) == 2
         assert "version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("only", ["x", "9", "0", "1,9", "1,,2"])
+    def test_bad_verify_only_is_usage_error(self, only, capsys):
+        assert main(["verify", "--only", only]) == 2
+        assert "1-8" in capsys.readouterr().err
 
     def test_unknown_trace_kind_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "run.trace"

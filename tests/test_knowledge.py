@@ -143,8 +143,11 @@ def test_add_records_matches_one_at_a_time():
         batched.add_records(creators, rnd, targets, res)
         for c, t, r in zip(creators, targets, res):
             single.add_record(int(c), rnd, int(t), int(r))
-        assert np.array_equal(batched._settle_round, single._settle_round)
-        assert batched._num_settled == single._num_settled
+        for name in ("_total", "_total_correct", "_first_crash", "_cross_round",
+                     "_cross_value", "_last"):
+            assert np.array_equal(getattr(batched, name), getattr(single, name),
+                                  equal_nan=True), name
+        assert batched.globally_estimable() == single.globally_estimable()
     assert len(batched) == len(single)
     known = np.full(6, 119, dtype=np.int32)
     assert np.array_equal(batched.estimate_all(known), single.estimate_all(known),
@@ -224,6 +227,7 @@ def test_cut_queries_match_brute_force(seed, n, rounds, skip, crash):
         if rnd not in checkpoints:
             continue
         rows = _rows(rng, last)
+        assert pool.globally_estimable() == _brute_satisfies(pool, rows[0])
         got = pool.satisfied(rows)
         assert got.tolist() == [_brute_satisfies(pool, k) for k in rows]
         assert [pool.satisfies(k) for k in rows] == got.tolist()
