@@ -363,9 +363,7 @@ def criterion_7() -> CriterionResult:
             f"trial {trial}: {p}" for p in _check_trace_invariants(result)
         )
         again = engine.run(config, collect_trace=True)
-        if [e.to_line() for e in result.trace.events] != [
-            e.to_line() for e in again.trace.events
-        ]:
+        if result.trace.lines != again.trace.lines:
             problems.append(f"trial {trial}: replay trace mismatch")
         if len(problems) > 5:
             break

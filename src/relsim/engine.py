@@ -324,8 +324,8 @@ def run(
         live = active.size
 
         if trace is not None:
-            _emit_each(trace, rnd, "query", "send",
-                       np.flatnonzero(pop.crash_round == rnd), "crash")
+            trace.emit(rnd, "query", "send", "crash",
+                       np.flatnonzero(pop.crash_round == rnd).tolist())
         if check_invariants:
             known_before = pop.known[active]
 
@@ -351,7 +351,7 @@ def run(
         flipped = protocol.response_compute(pop, active, pool)
         metrics.account_step(live)
         if trace is not None:
-            _emit_each(trace, rnd, "response", "compute", flipped, "enlighten")
+            trace.emit(rnd, "response", "compute", "enlighten", flipped.tolist())
 
         # ---- gossip stage ---------------------------------------------------
         gossip = protocol.gossip_send(pop, active, window.stage(rnd, "gossip", active))
@@ -363,18 +363,22 @@ def run(
         enlightened_now, level_reset = protocol.gossip_receive(pop, active, gossip)
         metrics.account_step(live)  # receive step
         if trace is not None:
-            now, reset = set(enlightened_now.tolist()), set(level_reset.tolist())
-            for pid in sorted(now | reset):
-                if pid in now:
-                    trace.emit(rnd, "gossip", "receive", pid, "enlighten")
-                if pid in reset:
-                    trace.emit(rnd, "gossip", "receive", pid, "ell_reset")
+            # The two kinds interleave in id order, enlighten first on a tie;
+            # each run of one kind is one batch.
+            ids = np.concatenate([enlightened_now, level_reset])
+            order = np.argsort(ids, kind="stable")
+            is_reset = order >= enlightened_now.size
+            cuts = np.flatnonzero(np.diff(is_reset)) + 1
+            for part, resets in zip(np.split(ids[order], cuts),
+                                    np.split(is_reset, cuts)):
+                trace.emit(rnd, "gossip", "receive",
+                           "ell_reset" if resets.any() else "enlighten", part.tolist())
         halted = protocol.gossip_compute(pop, active, gossip, pool)
         metrics.account_step(live)
         for pid in halted.tolist():
             metrics.per_processor_halt_round[pid] = rnd
         if trace is not None:
-            _emit_each(trace, rnd, "gossip", "compute", halted, "halt")
+            trace.emit(rnd, "gossip", "compute", "halt", halted.tolist())
 
         if check_invariants:
             assert np.all(pop.known[active] >= known_before), (
@@ -399,42 +403,29 @@ def run(
     )
 
 
-def _emit_each(trace, rnd, stage, step, pids, kind):
-    for pid in pids.tolist():
-        trace.emit(rnd, stage, step, pid, kind)
-
-
 _TASK_KIND = {"query": "task_request", "response": "task_response"}
 
 
 def _kinds(messages: Messages, stage: str) -> list[str]:
     if stage == "gossip":
-        return ["profess" if f else "share" for f in messages.is_profess.tolist()]
+        return np.where(messages.is_profess, "profess", "share").tolist()
     return [_TASK_KIND[stage]] * len(messages)
 
 
 def _route(messages, stage, pop, rnd, metrics, trace) -> Messages:
     """Deliver one step's messages, tracing sends, drops and receives."""
     if trace is not None:
-        sends = zip(messages.src.tolist(), messages.dst.tolist(),
-                    _kinds(messages, stage))
+        payload = {"type": _kinds(messages, stage), "to": messages.dst.tolist()}
         if stage == "gossip":
-            for (src, dst, kind), level in zip(sends, messages.level.tolist()):
-                trace.emit(rnd, stage, "send", src, "send", type=kind, to=dst,
-                           ell=level)
-        else:
-            for src, dst, kind in sends:
-                trace.emit(rnd, stage, "send", src, "send", type=kind, to=dst)
+            payload["ell"] = messages.level.tolist()
+        trace.emit(rnd, stage, "send", "send", messages.src.tolist(), **payload)
     delivered, dropped = deliver(messages, pop, rnd, metrics)
     if trace is not None:
-        crashed = (pop.crash_round[dropped.dst] <= rnd).tolist()
-        for dst, kind, was_crashed in zip(dropped.dst.tolist(),
-                                          _kinds(dropped, stage), crashed):
-            trace.emit(rnd, stage, "receive", dst, "drop", type=kind,
-                       reason="crashed" if was_crashed else "halted")
-        order = np.argsort(delivered.dst, kind="stable")
-        kinds = _kinds(delivered, stage)
-        dsts = delivered.dst.tolist()
-        for i in order.tolist():
-            trace.emit(rnd, stage, "receive", dsts[i], "receive", type=kinds[i])
+        crashed = pop.crash_round[dropped.dst] <= rnd
+        trace.emit(rnd, stage, "receive", "drop", dropped.dst.tolist(),
+                   type=_kinds(dropped, stage),
+                   reason=np.where(crashed, "crashed", "halted").tolist())
+        by_dst = delivered.take(np.argsort(delivered.dst, kind="stable"))
+        trace.emit(rnd, stage, "receive", "receive", by_dst.dst.tolist(),
+                   type=_kinds(by_dst, stage))
     return delivered

@@ -225,16 +225,11 @@ def _trace_header(result: RunResult) -> str:
 
 def write_trace(result: RunResult, path: Path) -> None:
     """Write the header (config + filters) and one line per event."""
-    with open(path, "w") as sink:
-        sink.write(_trace_header(result) + "\n")
-        for event in result.trace.events:
-            sink.write(event.to_line() + "\n")
+    Path(path).write_text(render_trace(result))
 
 
 def render_trace(result: RunResult) -> str:
-    lines = [_trace_header(result)]
-    lines.extend(event.to_line() for event in result.trace.events)
-    return "\n".join(lines) + "\n"
+    return "\n".join([_trace_header(result), *result.trace.lines]) + "\n"
 
 
 # --- sweep ---------------------------------------------------------------------

@@ -136,9 +136,7 @@ class TestRun:
         b = run(config, collect_trace=True)
         assert a.metrics.per_processor_halt_round == b.metrics.per_processor_halt_round
         assert a.metrics.messages_total == b.metrics.messages_total
-        assert [e.to_line() for e in a.trace.events] == [
-            e.to_line() for e in b.trace.events
-        ]
+        assert a.trace.lines == b.trace.lines
         for pid in a.estimates:
             assert np.array_equal(a.estimates[pid], b.estimates[pid],
                                   equal_nan=True)
@@ -212,9 +210,7 @@ class TestRun:
         a = run(base, collect_trace=True)
         b = run(literal, collect_trace=True)
         assert a.metrics.per_processor_halt_round == b.metrics.per_processor_halt_round
-        assert [e.to_line() for e in a.trace.events] == [
-            e.to_line() for e in b.trace.events
-        ]
+        assert a.trace.lines == b.trace.lines
 
     def test_zero_crashes_zero_false_detections_when_cap_unbinding(self):
         result = run(RunConfig(n=64, params=PARAMS, seed=812))

@@ -3,8 +3,19 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relsim.adversary import ExplicitReliability, PolyLog, SpreadCrashes
+from relsim.adversary import (
+    ExplicitReliability,
+    FractionalPolynomial,
+    LinearFraction,
+    NoCrashes,
+    PolyLog,
+    SpreadCrashes,
+    UniformReliability,
+    UpfrontCrashes,
+)
 from relsim.engine import ConfigError, RunConfig, run
 from relsim.estimator import EstimationParams
 from relsim.harness import (
@@ -19,6 +30,40 @@ from relsim.harness import (
     write_sweep_csv,
     write_trace,
 )
+from relsim.trace import EVENT_KINDS, SCHEMA_VERSION, TraceCollector
+
+# Payload keys of each event kind, in the order they are written.
+PAYLOAD_KEYS = {"send": ("type", "to", "ell"), "drop": ("type", "reason"),
+                "receive": ("type",)}
+
+
+def reference_line(record: dict) -> str:
+    """A trace line rendered the plain way: a dict in key order, json.dumps."""
+    ordered = {"v": SCHEMA_VERSION}
+    for key in ("seq", "round", "stage", "step", "id", "kind",
+                *PAYLOAD_KEYS.get(record["kind"], ())):
+        if key in record:
+            ordered[key] = record[key]
+    assert set(ordered) == set(record)
+    return json.dumps(ordered, separators=(",", ":"))
+
+
+@st.composite
+def traced_configs(draw):
+    return RunConfig(
+        n=draw(st.integers(1, 24)),
+        params=EstimationParams(draw(st.floats(0.6, 0.9)), draw(st.floats(0.2, 0.5))),
+        model=draw(st.one_of(
+            st.builds(LinearFraction, st.floats(0.0, 0.6)),
+            st.builds(FractionalPolynomial, st.floats(0.3, 0.8)),
+            st.builds(PolyLog, st.floats(1.0, 1.5)))),
+        crash_pattern=draw(st.one_of(
+            st.just(NoCrashes()), st.just(UpfrontCrashes()),
+            st.builds(SpreadCrashes, st.integers(1, 16)))),
+        reliability=UniformReliability(0.3, 1.0),
+        seed=draw(st.integers(0, 2**32)),
+        max_rounds=draw(st.integers(1, 150)),
+    )
 
 
 class TestCliRun:
@@ -109,8 +154,8 @@ class TestTraceArtifacts:
 
     def test_halt_event_schema(self):
         result = run(self._config(), collect_trace=True)
-        halt = next(e for e in result.trace.events if e.kind == "halt")
-        record = json.loads(halt.to_line())
+        record = next(r for r in map(json.loads, result.trace.lines)
+                      if r["kind"] == "halt")
         assert {"round", "id", "kind"} <= set(record)
         assert record["kind"] == "halt"
 
@@ -123,6 +168,37 @@ class TestTraceArtifacts:
         path = tmp_path / "t.trace"
         write_trace(result, path)
         assert path.read_text() == render_trace(result)
+
+    @settings(max_examples=60)
+    @given(traced_configs(),
+           st.one_of(st.none(), st.lists(st.sampled_from(EVENT_KINDS), unique=True)))
+    def test_lines_match_reference_renderer(self, config, kinds):
+        full = run(config, collect_trace=True).trace.lines
+        records = [json.loads(line) for line in full]
+        assert full == [reference_line(r) for r in records]
+        assert [r["seq"] for r in records] == list(range(len(records)))
+        kept = [r for r in records if kinds is None or r["kind"] in kinds]
+        filtered = run(config, collect_trace=True, trace_kinds=kinds).trace.lines
+        assert filtered == [reference_line({**r, "seq": seq})
+                            for seq, r in enumerate(kept)]
+
+    def test_filter_keeping_nothing_gives_header_only_trace(self, tmp_path, capsys):
+        path = tmp_path / "run.trace"
+        assert main(["run", "--n", "8", "--seed", "5", "--trace", str(path),
+                     "--trace-kinds", "crash"]) == 0
+        capsys.readouterr()
+        [header] = path.read_text().splitlines()
+        assert json.loads(header)["trace_kinds"] == ["crash"]
+        assert main(["replay", "--trace", str(path)]) == 0
+        assert "byte-identical" in capsys.readouterr().out
+
+    def test_empty_batch_emits_nothing(self):
+        trace = TraceCollector()
+        trace.emit(0, "query", "send", "crash", [])
+        trace.emit(0, "query", "send", "send", [], type=[], to=[])
+        trace.emit(2, "gossip", "compute", "halt", [3])
+        assert trace.lines == ['{"v":1,"seq":0,"round":2,"stage":"gossip",'
+                               '"step":"compute","id":3,"kind":"halt"}']
 
 
 class TestSweep:
