@@ -4,9 +4,10 @@ Each round advances all live, unhalted processors through nine steps (three
 stages of send/receive/compute), each step one whole-population transition
 of :mod:`.protocol`.  Messages sent in a step are delivered at that stage's
 receive step; messages addressed to crashed or halted processors are dropped
-and counted.  Identical configs (including the seed) produce bit-identical
-results because every random draw comes from a counter-based stream keyed by
-(seed, processor, round, stage), evaluated a window of rounds at a time by
+and counted (task responses never are: they go back to active requesters).
+Identical configs (including the seed) produce bit-identical results because
+every random draw comes from a counter-based stream keyed by (seed,
+processor, round, stage), evaluated a window of rounds at a time by
 :class:`.streams.StreamWindow`.
 """
 
@@ -39,7 +40,7 @@ from .adversary import (
 from .estimator import EstimationParams, gamma1
 from .knowledge import RecordPool
 from .metrics import RunMetrics
-from .protocol import Messages, Population, ceil_log2
+from .protocol import NO_MESSAGES, Messages, Population, ceil_log2
 from .streams import SEED_LIMIT, StreamWindow, rng_stream
 from .trace import TraceCollector
 
@@ -260,24 +261,26 @@ class RunResult:
 
 
 def deliver(
-    messages: Messages, pop: Population, rnd: int, metrics: RunMetrics
+    messages: Messages, dead: np.ndarray, pop: Population, rnd: int,
+    metrics: RunMetrics,
 ) -> tuple[Messages, Messages]:
     """Route one step's messages, dropping those to dead destinations.
 
-    Messages to processors crashed at or before this round, or already
-    halted, are dropped and counted; everything else is delivered exactly
-    once.  Returns (delivered, dropped), each in send order.
+    ``dead`` marks the processors crashed at or before this round or
+    already halted.  Messages to them are dropped and counted by reason;
+    everything else is delivered exactly once.  Returns (delivered,
+    dropped), each in send order.
     """
-    crashed = pop.crash_round[messages.dst] <= rnd
-    dropped = crashed | pop.halted[messages.dst]
-    n_dropped = int(np.count_nonzero(dropped))
-    n_crashed = int(np.count_nonzero(crashed)) if n_dropped else 0
-    metrics.dropped_to_crashed += n_crashed
-    metrics.dropped_to_halted += n_dropped - n_crashed
+    lost = dead[messages.dst]
+    n_dropped = int(np.count_nonzero(lost))
     metrics.delivered += len(messages) - n_dropped
     if not n_dropped:
-        return messages, messages.take(slice(0, 0))
-    return messages.take(~dropped), messages.take(dropped)
+        return messages, NO_MESSAGES
+    dropped = messages.take(lost)
+    n_crashed = int(np.count_nonzero(pop.crash_round[dropped.dst] <= rnd))
+    metrics.dropped_to_crashed += n_crashed
+    metrics.dropped_to_halted += n_dropped - n_crashed
+    return messages.take(~lost), dropped
 
 
 def run(
@@ -314,7 +317,10 @@ def run(
 
     rnd = 0
     while True:
-        active = pop.active(rnd)
+        # Crashed at or before this round, or halted.  Fixed for the round:
+        # nobody crashes or halts before gossip compute.
+        dead = pop.halted | (pop.crash_round <= rnd)
+        active = (~dead).nonzero()[0]
         if not active.size:
             completion = "all_halted"
             break
@@ -334,7 +340,8 @@ def run(
         requests = protocol.query_send(pop, active, draws)
         metrics.account_step(live, messages=len(requests))
         metrics.count_messages("task_request", len(requests))
-        requests = _route(requests, "query", pop, rnd, metrics, trace)
+        to_crashed = metrics.dropped_to_crashed
+        requests = _route(requests, "query", dead, pop, rnd, metrics, trace)
         metrics.account_step(live)  # receive step
         responses = protocol.query_compute(pop, requests, draws, p)
         metrics.dropped_requests += len(requests) - len(responses)
@@ -343,10 +350,20 @@ def run(
         # ---- response stage -------------------------------------------------
         metrics.account_step(live, messages=len(responses))
         metrics.count_messages("task_response", len(responses))
-        responses = _route(responses, "response", pop, rnd, metrics, trace)
-        res = protocol.response_receive(pop, active, responses, pool, rnd)
-        metrics.false_crash_detections += int(np.count_nonzero(
-            (res == -1) & (pop.crash_round[pop.target[active]] > rnd)))
+        # Every response goes to a requester active this round, so none is
+        # dropped: they are counted as delivered without a drop pass.
+        if check_invariants:
+            assert not np.any(dead[responses.dst]), (
+                f"a task response is addressed to a dead processor in round {rnd}"
+            )
+        metrics.delivered += len(responses)
+        if trace is not None:
+            _trace_route(responses, responses, NO_MESSAGES, "response", pop, rnd, trace)
+        protocol.response_receive(pop, active, responses, pool, rnd)
+        # A requester hears nothing if its target crashed (a true crash
+        # detection), halted, or served others over the request cap.
+        metrics.false_crash_detections += (
+            live - len(responses) - (metrics.dropped_to_crashed - to_crashed))
         metrics.account_step(live)  # receive step
         flipped = protocol.response_compute(pop, active, pool)
         metrics.account_step(live)
@@ -359,7 +376,7 @@ def run(
         professes = int(np.count_nonzero(gossip.is_profess))
         metrics.count_messages("share", len(gossip) - professes)
         metrics.count_messages("profess", professes)
-        gossip = _route(gossip, "gossip", pop, rnd, metrics, trace)
+        gossip = _route(gossip, "gossip", dead, pop, rnd, metrics, trace)
         enlightened_now, level_reset = protocol.gossip_receive(pop, active, gossip)
         metrics.account_step(live)  # receive step
         if trace is not None:
@@ -412,20 +429,26 @@ def _kinds(messages: Messages, stage: str) -> list[str]:
     return [_TASK_KIND[stage]] * len(messages)
 
 
-def _route(messages, stage, pop, rnd, metrics, trace) -> Messages:
+def _route(messages, stage, dead, pop, rnd, metrics, trace) -> Messages:
     """Deliver one step's messages, tracing sends, drops and receives."""
+    delivered, dropped = deliver(messages, dead, pop, rnd, metrics)
     if trace is not None:
-        payload = {"type": _kinds(messages, stage), "to": messages.dst.tolist()}
-        if stage == "gossip":
-            payload["ell"] = messages.level.tolist()
-        trace.emit(rnd, stage, "send", "send", messages.src.tolist(), **payload)
-    delivered, dropped = deliver(messages, pop, rnd, metrics)
-    if trace is not None:
+        _trace_route(messages, delivered, dropped, stage, pop, rnd, trace)
+    return delivered
+
+
+def _trace_route(sent, delivered, dropped, stage, pop, rnd, trace) -> None:
+    """Trace one step's sends in send order, its drops in send order and its
+    receives by destination."""
+    payload = {"type": _kinds(sent, stage), "to": sent.dst.tolist()}
+    if stage == "gossip":
+        payload["ell"] = sent.level.tolist()
+    trace.emit(rnd, stage, "send", "send", sent.src.tolist(), **payload)
+    if len(dropped):
         crashed = pop.crash_round[dropped.dst] <= rnd
         trace.emit(rnd, stage, "receive", "drop", dropped.dst.tolist(),
                    type=_kinds(dropped, stage),
                    reason=np.where(crashed, "crashed", "halted").tolist())
-        by_dst = delivered.take(np.argsort(delivered.dst, kind="stable"))
-        trace.emit(rnd, stage, "receive", "receive", by_dst.dst.tolist(),
-                   type=_kinds(by_dst, stage))
-    return delivered
+    by_dst = delivered.take(np.argsort(delivered.dst, kind="stable"))
+    trace.emit(rnd, stage, "receive", "receive", by_dst.dst.tolist(),
+               type=_kinds(by_dst, stage))

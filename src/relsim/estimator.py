@@ -121,7 +121,9 @@ class ResultRecord(NamedTuple):
 def gamma(params: EstimationParams) -> float:
     """Base sample-mass threshold ``4 * lambda * ln(2/delta) / epsilon^2``.
 
-    Natural logarithm; strictly decreasing in both epsilon and delta.
+    Natural logarithm; strictly decreasing in both epsilon and delta.  In
+    floating point it is only non-increasing: inputs a few ulps apart, such
+    as delta 0.9 and the double below it, can give the same value.
     """
     return 4.0 * LAMBDA * math.log(2.0 / params.delta) / (params.epsilon**2)
 

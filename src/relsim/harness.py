@@ -340,6 +340,13 @@ def _cmd_run(args) -> int:
     if args.trace:
         write_trace(result, args.trace)
     print(text)
+    if result.completion == "round_cap_hit":
+        rounds = result.metrics.rounds_to_all_halt
+        active = [pid for pid, halt in enumerate(result.metrics.per_processor_halt_round)
+                  if halt is None and result.schedule.crash_round.get(pid, rounds) >= rounds]
+        listed = ", ".join(map(str, active[:10])) + (", ..." if len(active) > 10 else "")
+        print(f"note: the run stopped at its round cap of {rounds} rounds with "
+              f"{len(active)} workers still active: {listed}", file=sys.stderr)
     return 0
 
 

@@ -63,11 +63,11 @@ def empty_knowledge(n: int) -> np.ndarray:
 def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values of the sorted ``keys`` and the bounds of their runs:
     value ``i`` fills ``keys[bounds[i]:bounds[i + 1]]``."""
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return keys[starts], np.append(starts, keys.size)
+    edge = np.empty(keys.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]
+    return keys[bounds[:-1]], bounds
 
 
 def merge_knowledge(known: np.ndarray, dst: np.ndarray, src: np.ndarray) -> None:
@@ -80,16 +80,23 @@ def merge_knowledge(known: np.ndarray, dst: np.ndarray, src: np.ndarray) -> None
     """
     if len(dst) == 0:
         return
-    order = np.argsort(dst, kind="stable")
-    rows, bounds = runs(dst[order])
+    counts = np.bincount(dst)
+    most = int(counts.max())
+    if most == 1:
+        # No destination repeats, as in most rounds of a sparse population.
+        known[dst] = np.maximum(known[dst], known[src])
+        return
+    order = dst.argsort(kind="stable")
+    rows = counts.nonzero()[0]
+    sizes = counts[rows]
+    firsts = sizes.cumsum() - sizes
     src = src[order]
-    sizes = np.diff(bounds)
     merged = known[rows]
     # The k-th message of every destination that has one, for each k in
     # turn: each pass gathers at most one row per destination.
-    for k in range(int(sizes.max())):
-        group = np.flatnonzero(sizes > k) if k else slice(None)
-        merged[group] = np.maximum(merged[group], known[src[bounds[:-1][group] + k]])
+    for k in range(most):
+        group = (sizes > k).nonzero()[0] if k else slice(None)
+        merged[group] = np.maximum(merged[group], known[src[firsts[group] + k]])
     known[rows] = merged
 
 
@@ -232,7 +239,7 @@ class RecordPool:
 
     def _suffix(self, cut: int) -> int:
         """Index of the first record of a round after ``cut``."""
-        return int(np.searchsorted(self._rnd[:self._count], cut, side="right"))
+        return int(self._rnd[:self._count].searchsorted(np.int32(cut), side="right"))
 
     def satisfied(self, known: np.ndarray) -> np.ndarray:
         """Which rows of the knowledge matrix ``known`` settle every target.

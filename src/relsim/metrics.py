@@ -76,7 +76,6 @@ class AccuracyReport:
     crash_false_positives: int
     undetermined: int
     live_pairs: int
-    per_target: list[dict]
 
 
 def accuracy(run, truth, schedule, params) -> AccuracyReport:
@@ -102,11 +101,6 @@ def accuracy(run, truth, schedule, params) -> AccuracyReport:
     tp = 0
     fp = 0
     undetermined = 0
-    per_target_numeric = np.zeros(n, dtype=np.int64)
-    per_target_within = np.zeros(n, dtype=np.int64)
-    per_target_crashmarks = np.zeros(n, dtype=np.int64)
-    per_target_undet = np.zeros(n, dtype=np.int64)
-    per_target_sum = np.zeros(n, dtype=np.float64)
     observers = 0
 
     for _pid, est in run.estimates.items():
@@ -121,27 +115,6 @@ def accuracy(run, truth, schedule, params) -> AccuracyReport:
         n_numeric_live += int(numeric_live.sum())
         within = numeric_live & (est >= lo) & (est <= hi)
         n_within += int(within.sum())
-        per_target_numeric += numeric
-        per_target_within += within
-        per_target_crashmarks += is_crashmark
-        per_target_undet += is_undet
-        per_target_sum += np.where(numeric, est, 0.0)
-
-    per_target = []
-    for j in range(n):
-        cnt = int(per_target_numeric[j])
-        per_target.append(
-            {
-                "target": j,
-                "true_p": float(p[j]),
-                "crashed": bool(crashed[j]),
-                "n_numeric": cnt,
-                "n_within": int(per_target_within[j]),
-                "n_crash_marks": int(per_target_crashmarks[j]),
-                "n_undetermined": int(per_target_undet[j]),
-                "mean_estimate": float(per_target_sum[j] / cnt) if cnt else None,
-            }
-        )
 
     fraction = n_within / n_numeric_live if n_numeric_live else 0.0
     return AccuracyReport(
@@ -152,7 +125,6 @@ def accuracy(run, truth, schedule, params) -> AccuracyReport:
         crash_false_positives=fp,
         undetermined=undetermined,
         live_pairs=observers * int(live.sum()),
-        per_target=per_target,
     )
 
 

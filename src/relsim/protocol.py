@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .knowledge import RecordPool, empty_knowledge, merge_knowledge, runs
+from .knowledge import RecordPool, empty_knowledge, merge_knowledge
 from .streams import StageDraws
 
 # Crash round of a processor that never crashes.
@@ -87,8 +87,17 @@ class Messages:
         return len(self.dst)
 
     def take(self, index) -> "Messages":
-        return Messages(*(None if a is None else a[index] for a in (
-            self.src, self.dst, self.level, self.is_profess, self.correct)))
+        level, is_profess, correct = self.level, self.is_profess, self.correct
+        return Messages(self.src[index], self.dst[index],
+                        None if level is None else level[index],
+                        None if is_profess is None else is_profess[index],
+                        None if correct is None else correct[index])
+
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+# No messages, with every field present; shared, so never written to.
+NO_MESSAGES = Messages(_NO_IDS, _NO_IDS, _NO_IDS, np.empty(0, dtype=bool),
+                       np.empty(0, dtype=np.int32))
 
 
 @dataclass
@@ -125,10 +134,6 @@ class Population:
             target=np.zeros(n, dtype=np.int64),
         )
 
-    def active(self, rnd: int) -> np.ndarray:
-        """Ids of the processors that are live and unhalted in round ``rnd``."""
-        return np.flatnonzero(~self.halted & (self.crash_round > rnd))
-
 
 # --- query stage ---------------------------------------------------------------
 
@@ -150,12 +155,12 @@ def query_compute(pop: Population, requests: Messages, draws: StageDraws,
     against the server's reliability ``p``, in requester-id order.  Returns
     the task responses, by server id, then requester id.
     """
-    order = np.argsort(requests.dst, kind="stable")
-    servers, starts = runs(requests.dst[order])
-    rows = np.searchsorted(draws.pids, servers)
-    requesters, owners, correct = draws.serve(
-        rows, starts, requests.src[order], request_cap(pop.n), p[servers])
-    return Messages(draws.pids[owners], requesters, correct=correct)
+    order = requests.dst.argsort(kind="stable")
+    servers = requests.dst[order]
+    requesters, rows, correct = draws.serve(
+        draws.pids.searchsorted(servers), requests.src[order],
+        request_cap(pop.n), p[servers])
+    return Messages(draws.pids[rows], requesters, correct=correct)
 
 
 # --- response stage ------------------------------------------------------------
@@ -172,7 +177,7 @@ def response_receive(pop: Population, active: np.ndarray, responses: Messages,
     # A processor's only request went to its target, so any response it
     # received is the answer.
     res = np.full(active.size, -1, dtype=np.int32)
-    res[np.searchsorted(active, responses.dst)] = responses.correct
+    res[active.searchsorted(responses.dst)] = responses.correct
     pool.add_records(active, rnd, pop.target[active], res)
     pop.known[active, active] = rnd
     return res

@@ -5,15 +5,17 @@ Every random draw of a run comes from a Philox4x64-10 stream keyed by
 numbers: as easy as 1, 2, 3", SC'11).  Philox is counter-based, so the first
 block of 64-bit words of many streams can be computed at once with array
 operations; :class:`StreamWindow` does this for every live processor and the
-next few rounds in one call.
+next few rounds in one call, and decodes the window's first draws in the
+same call: each stage's ``integers(n)`` and the ``random()`` doubles after it.
 
-:class:`StageDraws` decodes those words exactly as ``numpy.random.Generator``
-would: ``integers(n)`` is Lemire's multiply-shift on 32-bit halves of words
-(Lemire, "Fast random integer generation in an interval", TOMACS 2019), low
-half first, and ``random()`` is ``(word >> 11) * 2**-53``.  Rows whose draws
-fall outside the first block, or hit Lemire's rejection, are replayed through
-an exact re-keyed ``Generator``, so every value is bit-identical to a fresh
-:func:`rng_stream` consumed in the same order.
+:class:`StageDraws` serves one stage of one round from those blocks, decoded
+exactly as ``numpy.random.Generator`` would: ``integers(n)`` is Lemire's
+multiply-shift on 32-bit halves of words (Lemire, "Fast random integer
+generation in an interval", TOMACS 2019), low half first, and ``random()``
+is ``(word >> 11) * 2**-53``.  Rows whose draws fall outside the first
+block, or hit Lemire's rejection, are replayed through an exact re-keyed
+``Generator``, so every value is bit-identical to a fresh :func:`rng_stream`
+consumed in the same order.
 """
 
 from __future__ import annotations
@@ -154,17 +156,26 @@ class RekeyedStream:
         return self._gen
 
 
+def decode(words: np.ndarray, n: int):
+    """``integers(n)`` of word 0 of each Philox block, with Lemire's reject
+    mask, and the ``random()`` doubles of words 1 to 3."""
+    value, rejected = lemire(words[..., 0] & _LO32, n)
+    return value, rejected, (words[..., 1:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 class StageDraws:
     """One stage's draws for the processors ``pids`` (ascending) in one round.
 
-    ``words`` holds each row's first Philox block, and ``n`` is the range of
-    the stage's first draw, ``integers(n)``.  Methods take row positions
-    into ``pids`` and return what the named numpy calls would on a fresh
-    stream of each row's key.
+    ``words`` holds each row's first Philox block, ``n`` is the range of the
+    stage's first draw, ``integers(n)``, and ``decoded`` is
+    ``decode(words, n)``.  Methods take row positions into ``pids`` and
+    return what the named numpy calls would on a fresh stream of each row's
+    key.
     """
 
     def __init__(self, seed: int, rnd: int, stage: str, n: int,
-                 pids: np.ndarray, words: np.ndarray, rekeyed: RekeyedStream):
+                 pids: np.ndarray, words: np.ndarray, decoded,
+                 rekeyed: RekeyedStream):
         self.seed = seed
         self.rnd = rnd
         self.stage = stage
@@ -172,21 +183,16 @@ class StageDraws:
         self.pids = pids
         self.words = words
         self._rekeyed = rekeyed
-        self._first = None
+        self._first, self._rejected, self._doubles = decoded
 
     def exact(self, row: int) -> np.random.Generator:
         """A generator at the start of row ``row``'s stream."""
         return self._rekeyed.get(self.seed, int(self.pids[row]), self.rnd,
                                  self.stage)
 
-    def _first_draw(self):
-        if self._first is None:
-            self._first = lemire(self.words[:, 0] & _LO32, self.n)
-        return self._first
-
     def index(self, rows=None) -> np.ndarray:
         """``integers(n)`` of every row, or of the rows listed."""
-        value, rejected = self._first_draw()
+        value, rejected = self._first, self._rejected
         if rows is not None:
             value, rejected = value[rows], rejected[rows]
         if np.count_nonzero(rejected):
@@ -223,33 +229,34 @@ class StageDraws:
         order = np.argsort(out_rows, kind="stable")
         return out_rows[order], np.concatenate(parts_values)[order]
 
-    def serve(self, rows: np.ndarray, starts: np.ndarray, requesters: np.ndarray,
-              cap: int, p: np.ndarray):
+    def serve(self, rows: np.ndarray, requesters: np.ndarray, cap: int,
+              p: np.ndarray):
         """Draws of the query stage's compute step, which follow ``integers(n)``.
 
-        Row ``rows[i]`` holds the ascending requesters
-        ``requesters[starts[i]:starts[i+1]]``.  More than ``cap`` of them are
-        first cut to ``np.sort(choice(requesters, cap, replace=False))``;
-        each kept requester then gets ``random() < p[i]``.  Returns the kept
-        requesters, their row positions and the outcomes.
+        Request ``i`` comes from ``requesters[i]`` to row ``rows[i]``, whose
+        reliability is ``p[i]``; ``rows`` ascend, and so do the requesters
+        of one row.  A row with more than ``cap`` requesters first cuts them
+        to ``np.sort(choice(requesters, cap, replace=False))``; each kept
+        requester then gets ``random() < p``.  Returns the kept requesters,
+        their rows and the outcomes.
         """
-        count = np.diff(starts)
-        owner = np.repeat(np.arange(rows.size), count)
-        slot = np.arange(requesters.size) - starts[owner]
-        # Word 0 went to integers(n), so the doubles come from words 1 to 3.
-        # integers(1) takes no word, so n = 1 goes the exact way.
-        words = self.words[rows[owner], 1 + np.minimum(slot, _DOUBLES - 1)]
-        correct = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 < p[owner]
-        exact = self._first_draw()[1][rows] | (count > min(_DOUBLES, cap))
+        slot = np.arange(rows.size) - rows.searchsorted(rows)
+        # A row goes the exact way if its integers(n) was rejected or it
+        # has more requests than the cap or the three doubles after word 0
+        # allow; all its requests, or those past that limit, are marked.
+        exact = self._rejected[rows] | (slot >= min(_DOUBLES, cap))
         if self.n == 1:
+            # integers(1) takes no word.
             exact[:] = True
         if not np.count_nonzero(exact):
-            return requesters, rows[owner], correct
-        keep = ~exact[owner]
-        for i in np.flatnonzero(exact).tolist():
-            rng = self.exact(rows[i])
+            return requesters, rows, self._doubles[rows, slot] < p
+        correct = self._doubles[rows, np.minimum(slot, _DOUBLES - 1)] < p
+        keep = np.ones(rows.size, dtype=bool)
+        for row in np.unique(rows[exact]).tolist():
+            rng = self.exact(row)
             rng.integers(self.n)
-            lo, hi = starts[i], starts[i + 1]
+            lo, hi = rows.searchsorted(row), rows.searchsorted(row, "right")
+            keep[lo:hi] = False
             chosen = requesters[lo:hi]
             if chosen.size > cap:
                 picked = np.sort(rng.choice(chosen, size=cap, replace=False))
@@ -257,8 +264,8 @@ class StageDraws:
             else:
                 chosen_at = np.arange(lo, hi)
             keep[chosen_at] = True
-            correct[chosen_at] = [rng.random() < p[i] for _ in chosen_at]
-        return requesters[keep], rows[owner[keep]], correct[keep]
+            correct[chosen_at] = [rng.random() < p[lo] for _ in chosen_at]
+        return requesters[keep], rows[keep], correct[keep]
 
 
 class StreamWindow:
@@ -266,8 +273,8 @@ class StreamWindow:
 
     A window holds, for the processors live when it was filled, the blocks
     of rounds ``[start, start + width)``, with ``width`` about
-    ``_WINDOW_KEYS / (2 * live)``.  The live set only shrinks during a run,
-    so one window serves every round it spans.
+    ``_WINDOW_KEYS / (2 * live)``, and their :func:`decode`.  The live set
+    only shrinks during a run, so one window serves every round it spans.
     """
 
     _STAGES = ("query", "gossip")
@@ -276,9 +283,9 @@ class StreamWindow:
         self.seed = seed
         self.n = n
         self.last_round = last_round
-        self._row = np.full(n, -1, dtype=np.int64)
+        self._pids = np.empty(0, dtype=np.int64)
         self._start = 0
-        self._blocks = np.empty((0, 2, 0, 4), dtype=np.uint64)
+        self._width = 0
         self._rekeyed = RekeyedStream()
 
     def _fill(self, rnd: int, pids: np.ndarray) -> None:
@@ -291,19 +298,31 @@ class StreamWindow:
         ]
         blocks = philox_first_block(self.seed, np.stack(words, axis=1).ravel())
         self._blocks = blocks.reshape(width, 2, pids.size, 4)
-        self._row[:] = -1
-        self._row[pids] = np.arange(pids.size)
+        self._decoded = decode(self._blocks, self.n)
+        self._pids = pids
         self._start = rnd
+        self._width = width
 
     def stage(self, rnd: int, stage: str, pids: np.ndarray) -> StageDraws:
         """Draws of ``stage`` in round ``rnd`` for the ascending ``pids``."""
         offset = rnd - self._start
-        rows = self._row[pids]
-        if not 0 <= offset < len(self._blocks) or np.any(rows < 0):
+        if not 0 <= offset < self._width:
             self._fill(rnd, pids)
-            offset, rows = 0, self._row[pids]
-        words = self._blocks[offset, self._STAGES.index(stage)]
-        if rows.size != words.shape[0]:
-            words = words[rows]
-        return StageDraws(self.seed, rnd, stage, self.n, pids, words,
+            offset = 0
+        elif pids.size != self._pids.size:
+            # The live set only shrinks, so a live set of the window's size
+            # is the window's set.  A smaller one keeps the rest of the
+            # window for its rows.
+            rows = self._pids.searchsorted(pids).clip(0, self._pids.size - 1)
+            if np.array_equal(self._pids[rows], pids):
+                self._blocks = self._blocks[offset:].take(rows, axis=2)
+                self._decoded = [a[offset:].take(rows, axis=2) for a in self._decoded]
+                self._pids = pids
+                self._start, self._width = rnd, self._width - offset
+            else:
+                self._fill(rnd, pids)
+            offset = 0
+        at = offset, self._STAGES.index(stage)
+        words, *decoded = (a[at] for a in (self._blocks, *self._decoded))
+        return StageDraws(self.seed, rnd, stage, self.n, pids, words, decoded,
                           self._rekeyed)

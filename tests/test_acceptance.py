@@ -2,15 +2,22 @@
 
 Runs the same checks as ``relsim verify`` and prints one PASS/FAIL line per
 criterion (pytest -s shows them).  The growth-shape criteria run dozens of
-simulations up to n=4096 and take a few minutes.
+simulations up to n=4096 and take a few minutes; those (5-7) are marked
+``slow``, so ``pytest -m "not slow"`` is a quick inner loop.
 """
 
 import pytest
 
 from relsim.acceptance import CRITERIA
 
+SLOW = (5, 6, 7)
 
-@pytest.mark.parametrize("number", sorted(CRITERIA), ids=lambda k: f"criterion_{k}")
+
+@pytest.mark.parametrize(
+    "number",
+    [pytest.param(k, marks=pytest.mark.slow) if k in SLOW else k for k in sorted(CRITERIA)],
+    ids=lambda k: f"criterion_{k}",
+)
 def test_criterion(number):
     result = CRITERIA[number]()
     status = "PASS" if result.passed else "FAIL"

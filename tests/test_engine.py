@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from relsim import protocol
 from relsim.adversary import (
     ConstantReliability,
     LinearFraction,
@@ -81,7 +82,8 @@ class TestRngStream:
 class TestDeliver:
     def _route(self, dst, pop, rnd, metrics):
         dst = np.array(dst, dtype=np.int64)
-        return deliver(Messages(np.zeros_like(dst), dst), pop, rnd, metrics)
+        dead = pop.halted | (pop.crash_round <= rnd)
+        return deliver(Messages(np.zeros_like(dst), dst), dead, pop, rnd, metrics)
 
     def test_message_to_crashed_same_round_dropped(self):
         metrics = RunMetrics()
@@ -108,6 +110,28 @@ class TestDeliver:
     def test_empty_batch(self):
         delivered, dropped = self._route([], Population.start(1, {}), 0, RunMetrics())
         assert len(delivered) == 0 and len(dropped) == 0
+
+
+class TestInvariants:
+    CONFIG = RunConfig(n=16, params=PARAMS, crash_pattern=UpfrontCrashes(), seed=3)
+
+    def test_checked_run_passes(self):
+        # Responses go only to active requesters, which lets the engine
+        # count them as delivered without a drop pass.
+        result = run(self.CONFIG, check_invariants=True)
+        assert result.metrics.conservation_ok()
+
+    def test_response_to_dead_worker_is_caught(self, monkeypatch):
+        real = protocol.query_compute
+
+        def misrouted(pop, requests, draws, p):
+            responses = real(pop, requests, draws, p)
+            responses.dst[:1] = np.flatnonzero(pop.crash_round == 0)[0]
+            return responses
+
+        monkeypatch.setattr(protocol, "query_compute", misrouted)
+        with pytest.raises(AssertionError, match="dead processor"):
+            run(self.CONFIG, check_invariants=True)
 
 
 class TestRun:

@@ -74,12 +74,21 @@ class TestGamma:
     def test_strictly_decreasing(self, e1, e2, d1, d2):
         lo_e, hi_e = sorted((e1, e2))
         lo_d, hi_d = sorted((d1, d2))
-        if lo_e < hi_e:
+        # Strict only for inputs further apart than rounding: adjacent
+        # doubles can give the same threshold (see the test below).
+        if hi_e > lo_e * (1 + 1e-9):
             assert gamma(EstimationParams(hi_e, lo_d)) < gamma(EstimationParams(lo_e, lo_d))
             assert gamma1(EstimationParams(hi_e, lo_d)) < gamma1(EstimationParams(lo_e, lo_d))
-        if lo_d < hi_d:
+        if hi_d > lo_d * (1 + 1e-9):
             assert gamma(EstimationParams(lo_e, hi_d)) < gamma(EstimationParams(lo_e, lo_d))
             assert gamma1(EstimationParams(lo_e, hi_d)) < gamma1(EstimationParams(lo_e, lo_d))
+
+    @pytest.mark.parametrize("lo, hi", [(0.8999999999999999, 0.9),
+                                        (0.01, 0.010000000000000002)])
+    def test_non_increasing_at_adjacent_doubles(self, lo, hi):
+        # Deltas one ulp apart: the thresholds round to the same double.
+        assert gamma(EstimationParams(0.5, hi)) <= gamma(EstimationParams(0.5, lo))
+        assert gamma1(EstimationParams(0.5, hi)) <= gamma1(EstimationParams(0.5, lo))
 
 
 class TestSraRun:

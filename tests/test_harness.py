@@ -91,6 +91,29 @@ class TestCliRun:
         assert main(["run", "--n", "8", "--max-rounds", "2", *flags]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["model"] == model
 
+    def test_round_cap_hit_notes_cap_and_active_workers(self, capsys):
+        assert main(["run", "--n", "12", "--max-rounds", "3"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["completion"] == "round_cap_hit"
+        note = captured.err.strip()
+        assert "\n" not in note
+        assert "round cap of 3 rounds" in note
+        assert "12 workers still active: 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ..." in note
+
+    def test_round_cap_note_leaves_out_crashed_workers(self, capsys):
+        assert main(["run", "--n", "12", "--max-rounds", "3", "--model", "fp",
+                     "--crash-pattern", "upfront"]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert summary["completion"] == "round_cap_hit" and summary["crashed"] > 0
+        assert f"{12 - summary['crashed']} workers still active" in captured.err
+
+    def test_completed_run_prints_no_note(self, capsys):
+        assert main(["run", "--n", "4", "--seed", "3"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["completion"] == "all_halted"
+        assert captured.err == ""
+
     def test_n_zero_is_usage_error(self, capsys):
         assert main(["run", "--n", "0"]) == 2
         assert "error" in capsys.readouterr().err

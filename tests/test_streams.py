@@ -14,6 +14,7 @@ from relsim.streams import (
     RekeyedStream,
     StageDraws,
     StreamWindow,
+    decode,
     lemire,
     philox_first_block,
     rng_stream,
@@ -27,7 +28,7 @@ HUGE_N = 2**30 + 1  # Lemire rejects about a quarter of first draws
 def stage_draws(n, pids, rnd=3, stage="query", seed=SEED):
     pids = np.asarray(pids, dtype=np.int64)
     words = philox_first_block(seed, stream_key(seed, pids, rnd, stage)[1])
-    return StageDraws(seed, rnd, stage, n, pids, words, RekeyedStream())
+    return StageDraws(seed, rnd, stage, n, pids, words, decode(words, n), RekeyedStream())
 
 
 def fresh(pid, rnd=3, stage="query", seed=SEED):
@@ -48,10 +49,9 @@ def check_serve(n, groups, cap, p=0.6):
     pids = np.array(sorted(groups), dtype=np.int64)
     draws = stage_draws(n, pids)
     sizes = [len(groups[s]) for s in pids]
-    starts = np.concatenate(([0], np.cumsum(sizes)))
     requesters = np.concatenate([np.asarray(groups[s], dtype=np.int64) for s in pids])
-    served, rows, correct = draws.serve(np.arange(pids.size), starts, requesters,
-                                        cap, np.full(pids.size, p))
+    served, rows, correct = draws.serve(np.arange(pids.size).repeat(sizes), requesters,
+                                        cap, np.full(requesters.size, p))
     got = {}
     for r, row, c in zip(served.tolist(), rows.tolist(), correct.tolist()):
         got.setdefault(int(pids[row]), []).append((r, c))
@@ -141,3 +141,34 @@ def test_window_spans_rounds_and_shrinking_live_set():
             for row, pid in enumerate(pids.tolist()[:5]):
                 raw = fresh(pid, rnd, stage).bit_generator.random_raw(4)
                 assert np.array_equal(words[row], raw)
+
+
+@pytest.mark.parametrize("n", [3, 64, HUGE_N])
+def test_window_decoded_draws_match_raw_words(n):
+    # Round 2 reads the first window for a smaller live set.  With 600 live
+    # workers a window spans 3 rounds, so round 5 fills a new one; with 3
+    # or 64 it reads on in the shrunk window.
+    everyone = np.arange(min(n, 600))
+    survivors = everyone[everyone % 3 != 1]
+    window = StreamWindow(SEED, n, last_round=40)
+    cap = 2
+    for rnd, pids in [(0, everyone), (1, everyone), (2, survivors), (5, survivors)]:
+        for stage in ("query", "gossip"):
+            got = window.stage(rnd, stage, pids)
+            want = stage_draws(n, pids, rnd, stage)
+            assert np.array_equal(got.words, want.words)
+            assert got.index().tolist() == want.index().tolist()
+            rows = np.arange(0, pids.size, 2)
+            assert got.index(rows).tolist() == want.index(rows).tolist()
+            k = np.array([1, 3, 9, 20])[rows % 4]
+            for a, b in zip(got.fanout(rows, k), want.fanout(rows, k)):
+                assert a.tolist() == b.tolist()
+        # Up to 5 requesters per server, more than the cap of 2.
+        count = rows % 5 + 1
+        requesters = np.concatenate([np.arange(c) * 7 + r for r, c in zip(rows, count)])
+        p = np.linspace(0.1, 0.9, rows.size).repeat(count)
+        rows = rows.repeat(count)
+        got = window.stage(rnd, "query", pids).serve(rows, requesters, cap, p)
+        want = stage_draws(n, pids, rnd, "query").serve(rows, requesters, cap, p)
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist()
