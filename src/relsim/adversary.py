@@ -166,7 +166,7 @@ class UpfrontCrashes:
 class SpreadCrashes:
     """Victims crash at rounds drawn uniformly from [0, rounds)."""
 
-    rounds: int
+    rounds: int = 32
 
     def __post_init__(self):
         if self.rounds < 1:

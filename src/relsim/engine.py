@@ -14,7 +14,7 @@ processor, round, stage), evaluated a window of rounds at a time by
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -94,9 +94,7 @@ class RunConfig:
             "n": self.n,
             "epsilon": self.params.epsilon,
             "delta": self.params.delta,
-            "model": _model_to_dict(self.model),
-            "crash_pattern": _pattern_to_dict(self.crash_pattern),
-            "reliability": reliability_to_dict(self.reliability),
+            **{section: spec_to_dict(getattr(self, section)) for section in SPECS},
             "seed": self.seed,
             "max_rounds": self.max_rounds,
             "literal_ell_reset": self.literal_ell_reset,
@@ -111,13 +109,8 @@ class RunConfig:
                 n=_integer(data["n"], "n"),
                 params=EstimationParams(_real(data["epsilon"], "epsilon"),
                                         _real(data["delta"], "delta")),
-                model=_model_from_dict(data.get("model", {"kind": "lf"})),
-                crash_pattern=_pattern_from_dict(
-                    data.get("crash_pattern", {"kind": "none"})
-                ),
-                reliability=_reliability_from_dict(
-                    data.get("reliability", {"kind": "constant", "p": 1.0})
-                ),
+                **{section: spec_from_dict(data[section], section)
+                   for section in SPECS if section in data},
                 seed=_integer(data.get("seed", 0), "seed"),
                 max_rounds=(
                     _integer(data["max_rounds"], "max_rounds")
@@ -132,12 +125,16 @@ class RunConfig:
 
 _CONFIG_KEYS = ("n", "epsilon", "delta", "model", "crash_pattern", "reliability",
                 "seed", "max_rounds", "literal_ell_reset")
-_MODELS = {"lf": LinearFraction, "fp": FractionalPolynomial, "pl": PolyLog}
-# Each model kind's config keys: the fields of its dataclass.
-MODEL_KEYS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in _MODELS.items()}
-_PATTERN_KEYS = {"none": (), "upfront": (), "spread": ("rounds",)}
-_RELIABILITY_KEYS = {"constant": ("p",), "uniform": ("lo", "hi"),
-                     "explicit": ("values",)}
+# The spec classes of each config section, by kind: the only list of the
+# kinds and, through their dataclass fields, of each kind's keys.
+SPECS = {
+    "model": {"lf": LinearFraction, "fp": FractionalPolynomial, "pl": PolyLog},
+    "crash_pattern": {"none": NoCrashes, "upfront": UpfrontCrashes,
+                      "spread": SpreadCrashes},
+    "reliability": {"constant": ConstantReliability, "uniform": UniformReliability,
+                    "explicit": ExplicitReliability},
+}
+_KINDS = {cls: kind for table in SPECS.values() for kind, cls in table.items()}
 
 
 def _check_keys(data, allowed, what: str) -> None:
@@ -173,68 +170,34 @@ def _flag(value, what: str) -> bool:
     return value
 
 
-def _kind(data, table: dict, what: str) -> str:
+# How a spec field is read, by its annotated type.
+_READERS = {float: _real, int: _integer,
+            tuple[float, ...]: lambda value, what: tuple(_real(v, what) for v in value)}
+
+
+def spec_to_dict(spec) -> dict:
+    """A spec as its kind and its fields, tuples written as lists."""
+    data = {"kind": _KINDS[type(spec)]}
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        data[field.name] = list(value) if isinstance(value, tuple) else value
+    return data
+
+
+def spec_from_dict(data, section: str):
+    """Inverse of :func:`spec_to_dict` for a spec of config ``section``.
+
+    The keys allowed are ``kind`` and the kind's fields; each field is read
+    by its annotated type, and a field left out takes its default.
+    """
     kind = data.get("kind") if isinstance(data, dict) else None
-    if kind not in table:
-        raise ConfigError(f"unknown {what} kind {kind!r}")
-    _check_keys(data, ("kind",) + table[kind], f"{kind} {what}")
-    return kind
-
-
-def _model_to_dict(model: AdversaryModel) -> dict:
-    if isinstance(model, LinearFraction):
-        return {"kind": "lf", "f": model.f}
-    if isinstance(model, FractionalPolynomial):
-        return {"kind": "fp", "a": model.a, "coeff": model.coeff}
-    if isinstance(model, PolyLog):
-        return {"kind": "pl", "c": model.c, "coeff": model.coeff}
-    raise ConfigError(f"unknown model {model!r}")
-
-
-def _model_from_dict(data: dict) -> AdversaryModel:
-    kind = _kind(data, MODEL_KEYS, "model")
-    return _MODELS[kind](**{key: _real(data[key], f"model {key}")
-                            for key in MODEL_KEYS[kind] if key in data})
-
-
-def _pattern_to_dict(pattern: CrashPattern) -> dict:
-    if isinstance(pattern, NoCrashes):
-        return {"kind": "none"}
-    if isinstance(pattern, UpfrontCrashes):
-        return {"kind": "upfront"}
-    if isinstance(pattern, SpreadCrashes):
-        return {"kind": "spread", "rounds": pattern.rounds}
-    raise ConfigError(f"unknown crash pattern {pattern!r}")
-
-
-def _pattern_from_dict(data: dict) -> CrashPattern:
-    kind = _kind(data, _PATTERN_KEYS, "crash pattern")
-    if kind == "none":
-        return NoCrashes()
-    if kind == "upfront":
-        return UpfrontCrashes()
-    return SpreadCrashes(_integer(data["rounds"], "spread rounds"))
-
-
-def reliability_to_dict(spec: ReliabilitySpec) -> dict:
-    if isinstance(spec, ConstantReliability):
-        return {"kind": "constant", "p": spec.p}
-    if isinstance(spec, UniformReliability):
-        return {"kind": "uniform", "lo": spec.lo, "hi": spec.hi}
-    if isinstance(spec, ExplicitReliability):
-        return {"kind": "explicit", "values": list(spec.values)}
-    raise ConfigError(f"unknown reliability spec {spec!r}")
-
-
-def _reliability_from_dict(data: dict) -> ReliabilitySpec:
-    kind = _kind(data, _RELIABILITY_KEYS, "reliability")
-    if kind == "constant":
-        return ConstantReliability(_real(data["p"], "reliability p"))
-    if kind == "uniform":
-        return UniformReliability(_real(data["lo"], "reliability lo"),
-                                  _real(data["hi"], "reliability hi"))
-    return ExplicitReliability(tuple(_real(v, "reliability value")
-                                     for v in data["values"]))
+    cls = SPECS[section].get(kind)
+    if cls is None:
+        raise ConfigError(f"unknown {section} kind {kind!r}")
+    types = get_type_hints(cls)  # by field, in field order
+    _check_keys(data, ["kind", *types], f"{kind} {section}")
+    return cls(**{name: _READERS[type_](data[name], f"{section} {name}")
+                  for name, type_ in types.items() if name in data})
 
 
 @dataclass

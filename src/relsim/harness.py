@@ -26,16 +26,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 from . import engine
-from .adversary import (
-    AdversaryDomainError,
-    ConstantReliability,
-    ExplicitReliability,
-    UniformReliability,
-)
-from .engine import MODEL_KEYS, ConfigError, RunConfig, RunResult, reliability_to_dict
+from .adversary import AdversaryDomainError
+from .engine import SPECS, ConfigError, RunConfig, RunResult, spec_from_dict, spec_to_dict
 from .estimator import ParameterDomainError
 from .metrics import accuracy
 from .trace import EVENT_KINDS, SCHEMA_VERSION
@@ -45,26 +40,57 @@ SWEEP_COLUMNS = [
     "fraction_within_band", "false_positives", "undetermined",
     "std_T", "std_W", "std_M", "std_fraction_within_band",
 ]
+# Averaged in each aggregate row, with a population standard deviation
+# where a std_ column exists.
+AGGREGATED_COLUMNS = ("T", "W", "M", "fraction_within_band", "false_positives",
+                      "undetermined")
+
+
+# Flags that set the config key of the same name.
+_SCALAR_FLAGS = ("n", "epsilon", "delta", "seed", "max_rounds", "literal_ell_reset")
+# Flags that set one field of a spec section: dest -> (section, field, help).
+_FIELD_FLAGS = {
+    "f": ("model", "f", "crash fraction"),
+    "a": ("model", "a", "survivor exponent"),
+    "c": ("model", "c", "log exponent"),
+    "coeff": ("model", "coeff", "survivor-bound coefficient"),
+    "spread_rounds": ("crash_pattern", "rounds", "crash window in rounds"),
+}
 
 
 class UsageError(ValueError):
     pass
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _owners(section: str, name: str) -> dict:
+    """The kinds of a spec section that have field ``name``, with its type."""
+    return {kind: hints[name] for kind, cls in SPECS[section].items()
+            if name in (hints := get_type_hints(cls))}
+
+
+def _needs(section: str, name: str) -> str:
+    return f"needs {_flag(section)} {' or '.join(_owners(section, name))}"
+
+
 def parse_p_spec(text: str):
     """Parse 'constant:P', 'uniform:LO,HI' or 'explicit:P1,P2,...'."""
     kind, _, rest = text.partition(":")
+    if kind not in SPECS["reliability"]:
+        raise UsageError(f"unknown p-spec kind {kind!r}")
+    hints = get_type_hints(SPECS["reliability"][kind])
     try:
-        if kind == "constant":
-            return ConstantReliability(float(rest))
-        if kind == "uniform":
-            lo, hi = (float(x) for x in rest.split(","))
-            return UniformReliability(lo, hi)
-        if kind == "explicit":
-            return ExplicitReliability(tuple(float(x) for x in rest.split(",")))
-    except (ValueError, AdversaryDomainError) as exc:
+        values = [float(x) for x in rest.split(",")]
+        if tuple[float, ...] in hints.values():
+            values = [values]
+        if len(values) != len(hints):
+            raise ValueError(f"{kind} takes {len(hints)} values")
+        return spec_from_dict({"kind": kind, **dict(zip(hints, values))}, "reliability")
+    except ValueError as exc:
         raise UsageError(f"bad --p-spec {text!r}: {exc}") from exc
-    raise UsageError(f"unknown p-spec kind {kind!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,16 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int)
         p.add_argument("--epsilon", type=float)
         p.add_argument("--delta", type=float)
-        p.add_argument("--model", choices=["lf", "fp", "pl"])
-        p.add_argument("--f", type=float, help="crash fraction for --model lf")
-        p.add_argument("--a", type=float, help="exponent for --model fp")
-        p.add_argument("--c", type=float, help="log exponent for --model pl")
-        p.add_argument("--coeff", type=float, help="survivor-bound coefficient")
+        p.add_argument("--model", choices=list(SPECS["model"]))
         p.add_argument("--p-spec", type=str,
                        help="constant:P | uniform:LO,HI | explicit:P1,...")
-        p.add_argument("--crash-pattern", choices=["none", "upfront", "spread"])
-        p.add_argument("--spread-rounds", type=int, default=32,
-                       help="window for --crash-pattern spread")
+        p.add_argument("--crash-pattern", choices=list(SPECS["crash_pattern"]))
+        for dest, (section, name, text) in _FIELD_FLAGS.items():
+            p.add_argument(_flag(dest), type=next(iter(_owners(section, name).values())),
+                           help=f"{text}; {_needs(section, name)}")
         p.add_argument("--seed", type=int)
         p.add_argument("--max-rounds", type=int)
         p.add_argument("--literal-ell-reset", action="store_true", default=None)
@@ -129,43 +152,26 @@ def config_from_args(args) -> RunConfig:
         if not isinstance(base, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
     merged = dict(base)
-    if args.n is not None:
-        merged["n"] = args.n
-    if args.epsilon is not None:
-        merged["epsilon"] = args.epsilon
-    if args.delta is not None:
-        merged["delta"] = args.delta
-    if args.model is not None:
-        # The model's own defaults fill the fields not given.
-        merged["model"] = {"kind": args.model, **{
-            key: getattr(args, key) for key in MODEL_KEYS[args.model]
-            if getattr(args, key) is not None}}
+    for key in _SCALAR_FLAGS:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     if args.p_spec is not None:
-        merged["reliability"] = reliability_to_dict(parse_p_spec(args.p_spec))
-    if args.crash_pattern is not None:
-        if args.crash_pattern == "spread":
-            merged["crash_pattern"] = {"kind": "spread", "rounds": args.spread_rounds}
-        else:
-            merged["crash_pattern"] = {"kind": args.crash_pattern}
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.max_rounds is not None:
-        merged["max_rounds"] = args.max_rounds
-    if args.literal_ell_reset is not None:
-        merged["literal_ell_reset"] = args.literal_ell_reset
+        merged["reliability"] = spec_to_dict(parse_p_spec(args.p_spec))
+    for section in ("model", "crash_pattern"):
+        if getattr(args, section) is not None:
+            # The spec's own defaults fill the fields not given.
+            merged[section] = {"kind": getattr(args, section)}
+    for dest, (section, name, _) in _FIELD_FLAGS.items():
+        if getattr(args, dest) is not None:
+            if getattr(args, section) not in _owners(section, name):
+                raise UsageError(f"{_flag(dest)} {_needs(section, name)}")
+            merged[section][name] = getattr(args, dest)
     merged.setdefault("epsilon", 0.5)
     merged.setdefault("delta", 0.1)
     if "n" not in merged:
         raise UsageError("--n (or a config file with n) is required")
-    return _config_from_dict(merged)
-
-
-def _config_from_dict(data) -> RunConfig:
-    try:
-        config = RunConfig.from_dict(data)
-        config.validate()
-    except (ConfigError, ParameterDomainError, AdversaryDomainError) as exc:
-        raise UsageError(str(exc)) from exc
+    config = RunConfig.from_dict(merged)
+    config.validate()
     return config
 
 
@@ -247,6 +253,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise UsageError(f"trials must be >= 1, got {self.trials}")
+        if self.jobs < 1:
+            raise UsageError(f"jobs must be >= 1, got {self.jobs}")
         if not self.grid or any(
             b <= a for a, b in zip(self.grid, self.grid[1:])
         ):
@@ -289,29 +297,14 @@ def sweep(spec: ExperimentSpec) -> list[dict]:
     for n in spec.grid:
         group = [r for r in rows if r["n"] == n]
         out.extend(group)
-        def col(name):
-            return [float(r[name]) for r in group]
-        def std(values):
-            return statistics.pstdev(values) if len(values) > 1 else 0.0
-        out.append({
-            "row_type": "aggregate",
-            "n": n,
-            "trial": "",
-            "seed": "",
-            "completion": "",
-            "T": round(statistics.mean(col("T")), 3),
-            "W": round(statistics.mean(col("W")), 3),
-            "M": round(statistics.mean(col("M")), 3),
-            "fraction_within_band": round(
-                statistics.mean(col("fraction_within_band")), 6),
-            "false_positives": round(statistics.mean(col("false_positives")), 3),
-            "undetermined": round(statistics.mean(col("undetermined")), 3),
-            "std_T": round(std(col("T")), 3),
-            "std_W": round(std(col("W")), 3),
-            "std_M": round(std(col("M")), 3),
-            "std_fraction_within_band": round(
-                std(col("fraction_within_band")), 6),
-        })
+        aggregate = dict.fromkeys(SWEEP_COLUMNS, "") | {"row_type": "aggregate", "n": n}
+        for name in AGGREGATED_COLUMNS:
+            values = [float(r[name]) for r in group]
+            digits = 6 if name == "fraction_within_band" else 3
+            aggregate[name] = round(statistics.mean(values), digits)
+            if f"std_{name}" in SWEEP_COLUMNS:
+                aggregate[f"std_{name}"] = round(statistics.pstdev(values), digits)
+        out.append(aggregate)
     return out
 
 
@@ -355,8 +348,9 @@ def _cmd_sweep(args) -> int:
         grid = tuple(int(x) for x in args.grid.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --grid {args.grid!r}") from exc
-    if args.n is None:
-        args.n = grid[0]
+    if args.n is not None:
+        raise UsageError("sweep takes n from --grid; drop --n")
+    args.n = grid[0]
     base = config_from_args(args)
     spec = ExperimentSpec(grid=grid, trials=args.trials, base=base, jobs=args.jobs)
     rows = sweep(spec)
@@ -399,7 +393,7 @@ def _cmd_replay(args) -> int:
     if header.get("v") != SCHEMA_VERSION:
         raise UsageError(f"{args.trace} has trace schema version {header.get('v')!r}; "
                          f"this relsim reads version {SCHEMA_VERSION}")
-    config = _config_from_dict(header.get("config"))
+    config = RunConfig.from_dict(header.get("config"))
     kinds = _trace_kinds(header.get("trace_kinds"))
     result = engine.run(config, collect_trace=True, trace_kinds=kinds)
     regenerated = render_trace(result)

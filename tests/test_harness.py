@@ -1,5 +1,7 @@
 import csv
 import json
+import statistics
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsim.adversary import (
+    ConstantReliability,
     ExplicitReliability,
     FractionalPolynomial,
     LinearFraction,
@@ -19,6 +22,7 @@ from relsim.adversary import (
 from relsim.engine import ConfigError, RunConfig, run
 from relsim.estimator import EstimationParams
 from relsim.harness import (
+    SWEEP_COLUMNS,
     ExperimentSpec,
     UsageError,
     config_from_args,
@@ -85,7 +89,6 @@ class TestCliRun:
         ([], {"kind": "lf", "f": 0.25}),
         (["--model", "lf"], {"kind": "lf", "f": 0.25}),
         (["--model", "fp", "--coeff", "2"], {"kind": "fp", "a": 0.5, "coeff": 2.0}),
-        (["--model", "pl", "--f", "0.9"], {"kind": "pl", "c": 1.0, "coeff": 1.0}),
     ])
     def test_model_flags_fill_model_defaults(self, flags, model, capsys):
         assert main(["run", "--n", "8", "--max-rounds", "2", *flags]) == 0
@@ -143,10 +146,10 @@ class TestPSpec:
         assert parse_p_spec("explicit:0.5,0.7").values == (0.5, 0.7)
 
     def test_bad_spec_raises_usage_error(self):
-        with pytest.raises(UsageError):
-            parse_p_spec("gaussian:0.5")
-        with pytest.raises(UsageError):
-            parse_p_spec("constant:nope")
+        for text in ("gaussian:0.5", "constant:nope", "constant:", "uniform:0.3",
+                     "constant:0.5,0.6"):
+            with pytest.raises(UsageError):
+                parse_p_spec(text)
 
 
 class TestTraceArtifacts:
@@ -260,6 +263,28 @@ class TestSweep:
             ExperimentSpec(grid=(32, 16), trials=1, base=base)
         with pytest.raises(UsageError):
             ExperimentSpec(grid=(16, 32), trials=0, base=base)
+        with pytest.raises(UsageError):
+            ExperimentSpec(grid=(16, 32), trials=1, base=base, jobs=0)
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_aggregates_recompute_from_trial_rows(self, tmp_path, trials):
+        rows = sweep(self._spec(tmp_path, trials=trials))
+        aggregates = [r for r in rows if r["row_type"] == "aggregate"]
+        assert [r["n"] for r in aggregates] == [16, 32]
+        for aggregate in aggregates:
+            group = [r for r in rows
+                     if r["row_type"] == "trial" and r["n"] == aggregate["n"]]
+            assert len(group) == trials
+            assert list(aggregate) == SWEEP_COLUMNS
+            assert aggregate["trial"] == aggregate["seed"] == aggregate["completion"] == ""
+            for name, digits in [("T", 3), ("W", 3), ("M", 3),
+                                 ("fraction_within_band", 6),
+                                 ("false_positives", 3), ("undetermined", 3)]:
+                values = [float(r[name]) for r in group]
+                assert aggregate[name] == round(statistics.mean(values), digits)
+                if name in ("T", "W", "M", "fraction_within_band"):
+                    assert aggregate[f"std_{name}"] == round(
+                        statistics.pstdev(values), digits)
 
     def test_cli_sweep_end_to_end(self, tmp_path, capsys):
         code = main(["sweep", "--grid", "8,16", "--trials", "2",
@@ -318,12 +343,83 @@ class TestInputFaults:
             RunConfig.from_dict({"n": 4, "epsilon": 0.5, "delta": 0.1,
                                  "model": {"kind": "lf", "fraction": 0.5}})
 
-    def test_every_written_key_still_read(self):
+    # One case per spec kind of every section; the others keep the PolyLog
+    # case's specs.
+    @pytest.mark.parametrize("section, spec", [
+        ("model", LinearFraction(0.4)), ("model", FractionalPolynomial(0.3, 2.5)),
+        ("model", PolyLog(1.5, 0.5)), ("crash_pattern", NoCrashes()),
+        ("crash_pattern", UpfrontCrashes()), ("crash_pattern", SpreadCrashes(3)),
+        ("reliability", ConstantReliability(0.7)),
+        ("reliability", UniformReliability(0.2, 0.9)),
+        ("reliability", ExplicitReliability((0.5, 0.25, 1.0, 0.75, 0.5))),
+    ], ids=lambda arg: arg if isinstance(arg, str) else type(arg).__name__)
+    def test_every_written_key_still_read(self, section, spec):
         config = RunConfig(n=5, params=EstimationParams(0.5, 0.1),
                            model=PolyLog(1.5, 0.5), crash_pattern=SpreadCrashes(3),
                            reliability=ExplicitReliability((0.5,) * 5), seed=9,
                            max_rounds=12, literal_ell_reset=True)
+        config = replace(config, **{section: spec})
         assert RunConfig.from_dict(config.to_dict()) == config
+        assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    def test_written_config_bytes_are_pinned(self):
+        config = RunConfig(n=3, params=EstimationParams(0.3, 0.05),
+                           model=FractionalPolynomial(0.4, 1.5), crash_pattern=NoCrashes(),
+                           reliability=ExplicitReliability((0.5, 0.75, 1.0)),
+                           seed=2**63 + 1, max_rounds=40)
+        assert json.dumps(config.to_dict(), separators=(",", ":")) == (
+            '{"n":3,"epsilon":0.3,"delta":0.05,"model":{"kind":"fp","a":0.4,"coeff":1.5},'
+            '"crash_pattern":{"kind":"none"},'
+            '"reliability":{"kind":"explicit","values":[0.5,0.75,1.0]},'
+            '"seed":9223372036854775809,"max_rounds":40,"literal_ell_reset":false}')
+
+    @pytest.mark.parametrize("section, data, key", [
+        ("model", {"kind": "fp", "a": 0.5, "f": 0.5}, "f"),
+        ("crash_pattern", {"kind": "upfront", "rounds": 3}, "rounds"),
+        ("reliability", {"kind": "constant", "p": 0.9, "lo": 0.1}, "lo"),
+    ])
+    def test_unknown_spec_key_is_usage_error(self, tmp_path, section, data, key, capsys):
+        path = self._config_file(tmp_path, json.dumps({"n": 4, section: data}))
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "unknown" in err and f"keys [{key!r}]" in err
+
+    # The last flag of each case is the one a run would ignore.
+    @pytest.mark.parametrize("flags", [
+        ["--model", "pl", "--f", "0.9"],
+        ["--model", "fp", "--f", "0.5"],
+        ["--f", "0.5"],
+        ["--a", "0.5"],
+        ["--model", "lf", "--c", "2"],
+        ["--model", "lf", "--coeff", "2"],
+        ["--crash-pattern", "upfront", "--spread-rounds", "5"],
+        ["--spread-rounds", "5"],
+    ], ids=" ".join)
+    def test_ignored_run_flag_is_usage_error(self, flags, capsys):
+        assert main(["run", "--n", "8", "--max-rounds", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flags[-2]} needs --")
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--n", "8"], "--n"),
+        (["--jobs", "0"], "jobs"),
+    ], ids=["n", "jobs"])
+    def test_ignored_sweep_flag_is_usage_error(self, tmp_path, flags, flag, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--grid", "8,16", "--out", str(out), *flags]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spread_alone_means_32_rounds(self, capsys):
+        assert main(["run", "--n", "8", "--max-rounds", "2",
+                     "--crash-pattern", "spread"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["crash_pattern"] == {
+            "kind": "spread", "rounds": 32}
+        assert main(["run", "--n", "8", "--max-rounds", "2",
+                     "--crash-pattern", "spread", "--spread-rounds", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["crash_pattern"] == {
+            "kind": "spread", "rounds": 5}
 
     @pytest.mark.parametrize("text", [
         '{"n": "abc"}',
