@@ -424,5 +424,5 @@ CRITERIA: dict[int, Callable[[], CriterionResult]] = {
 
 
 def run_criteria(only: Optional[list[int]] = None) -> list[CriterionResult]:
-    numbers = sorted(only) if only else sorted(CRITERIA)
+    numbers = sorted(set(only)) if only else sorted(CRITERIA)
     return [CRITERIA[k]() for k in numbers]

@@ -301,17 +301,15 @@ def run(
         # ---- query stage ----------------------------------------------------
         draws = window.stage(rnd, "query", active)
         requests = protocol.query_send(pop, active, draws)
-        metrics.account_step(live, messages=len(requests))
         metrics.count_messages("task_request", len(requests))
         to_crashed = metrics.dropped_to_crashed
-        requests = _route(requests, "query", dead, pop, rnd, metrics, trace)
-        metrics.account_step(live)  # receive step
-        responses = protocol.query_compute(pop, requests, draws, p)
-        metrics.dropped_requests += len(requests) - len(responses)
-        metrics.account_step(live, tasks=len(responses))
+        received = _route(requests, "query", dead, pop, rnd, metrics, trace)
+        responses = protocol.query_compute(pop, received, draws, p)
+        metrics.dropped_requests += len(received) - len(responses)
+        metrics.account_step(3 * live, messages=len(requests), tasks=len(responses))
 
         # ---- response stage -------------------------------------------------
-        metrics.account_step(live, messages=len(responses))
+        metrics.account_step(3 * live, messages=len(responses))
         metrics.count_messages("task_response", len(responses))
         # Every response goes to a requester active this round, so none is
         # dropped: they are counted as delivered without a drop pass.
@@ -327,21 +325,18 @@ def run(
         # detection), halted, or served others over the request cap.
         metrics.false_crash_detections += (
             live - len(responses) - (metrics.dropped_to_crashed - to_crashed))
-        metrics.account_step(live)  # receive step
         flipped = protocol.response_compute(pop, active, pool)
-        metrics.account_step(live)
         if trace is not None:
             trace.emit(rnd, "response", "compute", "enlighten", flipped.tolist())
 
         # ---- gossip stage ---------------------------------------------------
         gossip = protocol.gossip_send(pop, active, window.stage(rnd, "gossip", active))
-        metrics.account_step(live, messages=len(gossip))
+        metrics.account_step(3 * live, messages=len(gossip))
         professes = int(np.count_nonzero(gossip.is_profess))
         metrics.count_messages("share", len(gossip) - professes)
         metrics.count_messages("profess", professes)
         gossip = _route(gossip, "gossip", dead, pop, rnd, metrics, trace)
         enlightened_now, level_reset = protocol.gossip_receive(pop, active, gossip)
-        metrics.account_step(live)  # receive step
         if trace is not None:
             # The two kinds interleave in id order, enlighten first on a tie;
             # each run of one kind is one batch.
@@ -354,7 +349,6 @@ def run(
                 trace.emit(rnd, "gossip", "receive",
                            "ell_reset" if resets.any() else "enlighten", part.tolist())
         halted = protocol.gossip_compute(pop, active, gossip, pool)
-        metrics.account_step(live)
         for pid in halted.tolist():
             metrics.per_processor_halt_round[pid] = rnd
         if trace is not None:

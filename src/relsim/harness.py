@@ -158,9 +158,11 @@ def config_from_args(args) -> RunConfig:
     if args.p_spec is not None:
         merged["reliability"] = spec_to_dict(parse_p_spec(args.p_spec))
     for section in ("model", "crash_pattern"):
-        if getattr(args, section) is not None:
-            # The spec's own defaults fill the fields not given.
-            merged[section] = {"kind": getattr(args, section)}
+        kind, given = getattr(args, section), merged.get(section)
+        # A kind the file names keeps the file's fields; another kind starts
+        # from its spec's defaults.
+        if kind is not None and not (isinstance(given, dict) and given.get("kind") == kind):
+            merged[section] = {"kind": kind}
     for dest, (section, name, _) in _FIELD_FLAGS.items():
         if getattr(args, dest) is not None:
             if getattr(args, section) not in _owners(section, name):

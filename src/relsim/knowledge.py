@@ -13,14 +13,14 @@ size grows with the run.
 Record *contents* -- which target each record is about and its res value --
 are stored once in a shared, append-only :class:`RecordPool`, in creation
 order: rounds ascending and, within a round, creators ascending.  The pool
-answers the two knowledge queries the protocol needs:
+answers the two knowledge queries the protocol needs, for a batch of rows:
 
-* :meth:`RecordPool.satisfied` -- which of a batch of knowledge rows hold,
-  for every target, either enough correct results or a crash record
-  (:meth:`RecordPool.satisfies` is its one-row form);
-* :meth:`RecordPool.estimate_all` -- final per-target estimates for one
-  row, replaying each target's known records in (round, requester) order,
-  which is creation order.
+* :meth:`RecordPool.estimate_all` -- final per-target estimates, replaying
+  each target's known records in (round, requester) order, which is
+  creation order;
+* :meth:`RecordPool.satisfied` -- which rows leave no target undetermined,
+  holding for each enough correct results or a crash record
+  (:meth:`RecordPool.satisfies` is its one-row form).
 
 Both rest on the *known-prefix cut*.  For a row ``k``, ``cut(k)`` is the
 smallest ``k[s]`` over the creators ``s`` it lags behind (``k[s]`` below the
@@ -31,8 +31,8 @@ only the records after it -- a contiguous suffix of the pool's arrays --
 differ between rows.  Per-target facts about the whole pool, kept up to
 date as each round's records arrive, answer everything before the cut:
 each target's record and correct counts, its first crash round, and the
-round and value at which its correct count crosses the threshold.  The
-queries then scan only the suffix.
+round and value at which its correct count crosses the threshold.  Both
+queries share one replay of the suffix after the smallest cut of a batch.
 
 Literal record sets can be reconstructed with :meth:`records_for`; tests
 compare the two representations against a straight-line reference
@@ -51,7 +51,7 @@ from .estimator import CRASHED, ResultRecord
 # threshold or never reported crashed.
 _NEVER = np.iinfo(np.int32).max
 
-# Most (row, record) cells :meth:`RecordPool.satisfied` compares at once.
+# Most (row, record) cells a batched query compares at once.
 _MASK_CELLS = 1 << 15
 
 
@@ -100,20 +100,22 @@ def merge_knowledge(known: np.ndarray, dst: np.ndarray, src: np.ndarray) -> None
     known[rows] = merged
 
 
-def _first_crossing(bounds: np.ndarray, correct: np.ndarray, base, needed: int):
-    """Position of the record at which each group's correct count reaches
-    ``needed``, or -1 where it never does.
+def _crossing(bounds: np.ndarray, correct: np.ndarray, base, needed: int, counted=True):
+    """Whether each group's correct count reaches ``needed``, and how many
+    ``counted`` records come before the record where it does.
 
-    Group ``i`` is ``correct[bounds[i]:bounds[i + 1]]`` in replay order and
-    starts from ``base`` (per group, or one value for all).  The count only
-    grows within a group, so the crossing record is the group's first one
-    at or above the threshold.
+    Group ``i`` is ``correct[..., bounds[i]:bounds[i + 1]]`` in replay order
+    and starts from ``base`` (per group, or one value for all); leading axes
+    are independent rows.  The count only grows within a group, so the
+    records before the crossing are those at which it is still below
+    ``needed``.
     """
     starts = bounds[:-1]
-    running = np.cumsum(correct)
-    offset = np.repeat(running[starts] - correct[starts] - base, bounds[1:] - starts)
-    hits = np.add.reduceat(running - offset >= needed, starts)
-    return np.where(hits > 0, bounds[1:] - hits, -1)
+    running = np.cumsum(correct, axis=-1, dtype=np.int32)
+    running -= np.repeat(running[..., starts] - correct[..., starts] - base,
+                         bounds[1:] - starts, axis=-1)
+    below = running < needed
+    return ~below[..., bounds[1:] - 1], np.add.reduceat(below & counted, starts, axis=-1)
 
 
 class RecordPool:
@@ -204,14 +206,14 @@ class RecordPool:
             fresh = reached & (self._cross_round == _NEVER)
             self._num_crossed += np.count_nonzero(fresh)
             # Every record this round about a crossing target, grouped by
-            # target in creation order: the crossing record's place in its
-            # group counts the target's records this round before it.
+            # target in creation order: those before the crossing record are
+            # the target's records this round before it.
             pick = np.flatnonzero(fresh[tgt])
             pick = pick[np.argsort(tgt[pick], kind="stable")]
             targets, bounds = runs(tgt[pick])
-            at = _first_crossing(bounds, correct[pick],
+            _, prior = _crossing(bounds, correct[pick],
                                  self._total_correct[targets] - hits[targets], self.needed)
-            trials = self._total[targets] + at - bounds[:-1]
+            trials = self._total[targets] + prior
             self._cross_round[targets] = rnd
             self._cross_value[targets] = self.gamma1 / trials.astype(np.float64)
         self._total += np.bincount(tgt, minlength=self.n)
@@ -241,81 +243,83 @@ class RecordPool:
         """Index of the first record of a round after ``cut``."""
         return int(self._rnd[:self._count].searchsorted(np.int32(cut), side="right"))
 
+    def _replay(self, known: np.ndarray, cut: int):
+        """Estimates of the targets that neither crossed nor crashed by
+        ``cut``, for a block of rows that each know every record of a round
+        ``<= cut``.  Returns those of the targets with suffix records, per
+        row: ``gamma1 / N`` at the row's crossing, ``CRASHED`` on a known
+        crash record, NaN otherwise.
+        """
+        start = self._suffix(cut)
+        tgt = self._tgt[start:self._count]
+        hard = np.minimum(self._cross_round, self._first_crash) > cut
+        pick = np.flatnonzero(hard[tgt])
+        pick = pick[np.argsort(tgt[pick], kind="stable")] + start
+        targets, bounds = runs(self._tgt[pick])
+        starts = bounds[:-1]
+        src, rnd, res = self._src[pick], self._rnd[pick], self._res[pick]
+        correct, crash = res == 1, res == -1
+        # The records up to the cut are all known, and none crosses.
+        before = self._total[targets] - np.diff(bounds)
+        before_correct = self._total_correct[targets] - np.add.reduceat(correct, starts)
+        values = np.full((len(known), targets.size), np.nan)
+        # Rows in blocks, so the rows x records arrays stay small.
+        step = max(1, _MASK_CELLS // max(1, pick.size))
+        for i in range(0, len(known), step):
+            knows = known[i:i + step, src] >= rnd
+            crossed, prior = _crossing(bounds, knows & correct, before_correct,
+                                       self.needed, knows)
+            block = values[i:i + step]
+            block[crossed] = self.gamma1 / (before + prior)[crossed].astype(np.float64)
+            block[np.logical_or.reduceat(knows & crash, starts, axis=1)] = CRASHED
+        return targets, values
+
     def satisfied(self, known: np.ndarray) -> np.ndarray:
         """Which rows of the knowledge matrix ``known`` settle every target.
 
         A target is settled by at least ``needed`` known correct records or
-        by any known crash record.  Returns one bool per row.
+        by any known crash record: exactly when its estimate is not NaN.
+        Returns one bool per row.
         """
         rows = len(known)
         if not rows or not self.globally_estimable():
             return np.zeros(rows, dtype=bool)
-        cut = int(self._cut(known).min())
-        # Every row knows each record of a round <= cut, so a target that
-        # settled globally by then is settled for all of them.
-        hard = np.minimum(self._cross_round, self._first_crash) > cut
-        if not np.count_nonzero(hard):
-            return np.ones(rows, dtype=bool)
-        start = self._suffix(cut)
-        tgt = self._tgt[start:self._count]
-        # The suffix records that can settle a hard target, grouped by
-        # target in creation order.  A hard target's settling record is one
-        # of them, so every hard target has a group.
-        pick = np.flatnonzero(hard[tgt] & (self._res[start:self._count] != 0))
-        pick = pick[np.argsort(tgt[pick], kind="stable")] + start
-        targets, bounds = runs(self._tgt[pick])
-        starts = bounds[:-1]
-        src, rnd, correct = self._src[pick], self._rnd[pick], self._res[pick] == 1
-        crash = ~correct if not np.all(correct) else None
-        before = self._total_correct[targets] - np.add.reduceat(correct, starts)
-        out = np.empty(rows, dtype=bool)
-        # Rows in blocks, so the rows x records mask stays small.
-        step = max(1, _MASK_CELLS // pick.size)
-        for i in range(0, rows, step):
-            knows = known[i:i + step, src] >= rnd
-            settled = before + np.add.reduceat(knows & correct, starts, axis=1) >= self.needed
-            if crash is not None:
-                settled |= np.logical_or.reduceat(knows & crash, starts, axis=1)
-            out[i:i + step] = settled.all(axis=1)
-        return out
+        # Every target has a settling record, so each target left out of the
+        # replay settled by the cut.
+        _, values = self._replay(known, int(self._cut(known).min()))
+        return ~np.isnan(values).any(axis=1)
 
     def satisfies(self, known: np.ndarray) -> bool:
         """Whether the knowledge vector ``known`` settles every target."""
         return bool(self.satisfied(known[np.newaxis])[0])
 
     def estimate_all(self, known: np.ndarray) -> np.ndarray:
-        """Per-target estimates for one knowledge vector.
+        """Per-target estimates for a knowledge vector, or for each row of a
+        knowledge matrix.
 
-        Returns a float array of length ``n`` where a crash mark is -1.0 and
-        an undetermined target is NaN; other entries are ``gamma1 / N`` with
+        Each row of the result has length ``n``: a crash mark is -1.0, an
+        undetermined target NaN, and other entries are ``gamma1 / N`` with
         ``N`` the last known-record prefix whose res-sum is below the
         threshold.  Matches the record-set estimator exactly.
         """
-        cut = int(self._cut(known))
+        rows = np.atleast_2d(known)
+        # A row whose own cut passes a target's crossing knows every record
+        # before it, so one cut for all rows gives each its own replay.
+        cut = int(self._cut(rows).min())
+        settled = np.where(self._cross_round <= cut, self._cross_value, np.nan)
+        settled[self._first_crash <= cut] = CRASHED
+        estimates = np.tile(settled, (len(rows), 1))
+        targets, values = self._replay(rows, cut)
+        estimates[:, targets] = values
+        # A target can cross by the cut and crash after it.
         start = self._suffix(cut)
-        src, rnd, tgt, res = (a[start:self._count] for a in
-                              (self._src, self._rnd, self._tgt, self._res))
-        seen = known[src] >= rnd
-        # The row knows every record up to a crossing at or before its cut,
-        # so its replay of that target is the full one.
-        done = self._cross_round <= cut
-        estimates = np.where(done, self._cross_value, np.nan)
-        # The other targets: replay the row's known suffix records, starting
-        # from the records of rounds up to the cut, all known and none crossing.
-        pick = np.flatnonzero(seen & ~done[tgt])
-        if pick.size:
-            pick = pick[np.argsort(tgt[pick], kind="stable")]
-            targets, bounds = runs(tgt[pick])
-            before = self._total[targets] - np.bincount(tgt, minlength=self.n)[targets]
-            before_correct = (self._total_correct[targets]
-                              - np.bincount(tgt[res == 1], minlength=self.n)[targets])
-            at = _first_crossing(bounds, res[pick] == 1, before_correct, self.needed)
-            crossed = at >= 0
-            trials = before + at - bounds[:-1]
-            estimates[targets[crossed]] = self.gamma1 / trials[crossed].astype(np.float64)
-        estimates[self._first_crash <= cut] = CRASHED
-        estimates[tgt[seen & (res == -1)]] = CRASHED
-        return estimates
+        crash = np.flatnonzero(self._res[start:self._count] == -1) + start
+        src, rnd, tgt = self._src[crash], self._rnd[crash], self._tgt[crash]
+        step = max(1, _MASK_CELLS // max(1, crash.size))
+        for i in range(0, len(rows), step):
+            row, col = np.nonzero(rows[i:i + step, src] >= rnd)
+            estimates[i + row, tgt[col]] = CRASHED
+        return estimates if known.ndim == 2 else estimates[0]
 
     def records_for(self, known: np.ndarray, target: int) -> set[ResultRecord]:
         """Reconstruct the literal record set about ``target``."""

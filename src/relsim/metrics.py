@@ -44,8 +44,8 @@ class RunMetrics:
     dropped_to_halted: int = 0
 
     def account_step(self, steps: int, messages: int = 0, tasks: int = 0):
-        """One step executed by ``steps`` live, unhalted processors, which
-        sent ``messages`` and executed ``tasks`` between them."""
+        """``steps`` processor-steps by live, unhalted processors, which sent
+        ``messages`` and executed ``tasks`` between them."""
         self.work_steps += steps
         self.messages_total += messages
         self.tasks_executed += tasks

@@ -268,7 +268,6 @@ def gossip_compute(pop: Population, active: np.ndarray, inbox: Messages,
     if not np.count_nonzero(final):
         return active[:0]
     halting = np.unique(inbox.dst[final])
-    for i in halting.tolist():
-        pop.estimates[i] = pool.estimate_all(pop.known[i])
+    pop.estimates.update(zip(halting.tolist(), pool.estimate_all(pop.known[halting])))
     pop.halted[halting] = True
     return halting

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relsim.acceptance import CRITERIA, CriterionResult
 from relsim.adversary import (
     ConstantReliability,
     ExplicitReliability,
@@ -136,6 +137,27 @@ class TestCliRun:
         summary = json.loads(capsys.readouterr().out)
         assert summary["config"]["seed"] == 99
         assert summary["config"]["n"] == 8
+
+    @pytest.mark.parametrize("flags, model", [
+        (["--model", "fp", "--coeff", "2"], {"kind": "fp", "a": 0.3, "coeff": 2.0}),
+        (["--model", "fp"], {"kind": "fp", "a": 0.3, "coeff": 1.0}),
+        (["--model", "pl"], {"kind": "pl", "c": 1.0, "coeff": 1.0}),
+    ], ids=["same kind with field", "same kind", "other kind"])
+    def test_kind_flag_keeps_file_fields_of_same_kind(self, tmp_path, flags, model,
+                                                      capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n": 8, "model": {"kind": "fp", "a": 0.3}}))
+        assert main(["run", "--config", str(config_path), "--max-rounds", "2",
+                     *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["model"] == model
+
+    def test_verify_only_runs_each_criterion_once(self, monkeypatch, capsys):
+        calls = []
+        result = CriterionResult(8, "stub", True, "ok")
+        monkeypatch.setitem(CRITERIA, 8, lambda: calls.append(8) or result)
+        assert main(["verify", "--only", "8,8"]) == 0
+        assert calls == [8]
+        assert capsys.readouterr().out.count("criterion 8:") == 1
 
 
 class TestPSpec:

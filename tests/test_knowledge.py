@@ -231,5 +231,8 @@ def test_cut_queries_match_brute_force(seed, n, rounds, skip, crash):
         got = pool.satisfied(rows)
         assert got.tolist() == [_brute_satisfies(pool, k) for k in rows]
         assert [pool.satisfies(k) for k in rows] == got.tolist()
-        for known in rows:
+        batch = pool.estimate_all(rows)
+        assert got.tolist() == (~np.isnan(batch).any(axis=1)).tolist()
+        for known, estimates in zip(rows, batch):
+            assert np.array_equal(estimates, pool.estimate_all(known), equal_nan=True)
             _assert_estimates_match(pool, known)
