@@ -90,3 +90,20 @@ def test_trace_digest_pinned(name):
 def test_cap_overflow_case_reaches_the_overflow_path():
     config, _ = CASES["cap-overflow"]
     assert run(config).metrics.dropped_requests > 0
+
+
+# An fp run whose round cap falls before the pool settles globally, while
+# spread crashes are still thinning the live set: it stops at the cap with
+# nobody enlightened.
+CAP_CASE = RunConfig(n=16, params=Q, model=FractionalPolynomial(0.5),
+                     crash_pattern=SpreadCrashes(10), seed=5, max_rounds=40)
+CAP_DIGEST = "91856a3d60ec6fe35eba3172a8f15b469e4382d6ea87a46940af79adb5034d1c"
+
+
+def test_trace_digest_pinned_at_round_cap_before_settlement():
+    result = run(CAP_CASE, collect_trace=True, keep_states=True)
+    assert result.completion == "round_cap_hit"
+    assert result.metrics.rounds_to_all_halt == 40
+    assert not result.pool.globally_estimable()
+    text = render_trace(result)
+    assert hashlib.sha256(text.encode()).hexdigest() == CAP_DIGEST
