@@ -9,6 +9,17 @@ Identical configs (including the seed) produce bit-identical results because
 every random draw comes from a counter-based stream keyed by (seed,
 processor, round, stage), evaluated a window of rounds at a time by
 :class:`.streams.StreamWindow`.
+
+Until the record pool settles globally, nobody is enlightened, professes or
+halts, so a round's queries, serving, records and share sends depend only on
+the crash schedule and the draws.  The engine therefore steps rounds in
+blocks: each step runs once over a block's (round, processor) pairs, and a
+short loop then does, round by round, what depends on the round before: a
+processor's own newest record in its knowledge row, the round's knowledge
+merges, its halts and its trace lines.  A block ends at its draw window's
+end, at the round cap, at the first round with no live processor, and
+before the round whose records settle the pool, found before anything is
+committed.  From that round on, each block is one round.
 """
 
 from __future__ import annotations
@@ -223,27 +234,27 @@ class RunResult:
     pool: Optional[RecordPool] = None
 
 
-def deliver(
-    messages: Messages, dead: np.ndarray, pop: Population, rnd: int,
-    metrics: RunMetrics,
-) -> tuple[Messages, Messages]:
+def deliver(messages: Messages, pop: Population) -> tuple[Messages, Messages]:
     """Route one step's messages, dropping those to dead destinations.
 
-    ``dead`` marks the processors crashed at or before this round or
-    already halted.  Messages to them are dropped and counted by reason;
-    everything else is delivered exactly once.  Returns (delivered,
-    dropped), each in send order.
+    A destination is dead to a message if it crashed at or before the
+    message's round, or has halted.  Everything else is delivered exactly
+    once.  Returns (delivered, dropped), each in send order.
     """
-    lost = dead[messages.dst]
-    n_dropped = int(np.count_nonzero(lost))
-    metrics.delivered += len(messages) - n_dropped
-    if not n_dropped:
+    lost = pop.crash_round[messages.dst] <= messages.rnd
+    lost |= pop.halted[messages.dst]
+    if not np.count_nonzero(lost):
         return messages, NO_MESSAGES
-    dropped = messages.take(lost)
-    n_crashed = int(np.count_nonzero(pop.crash_round[dropped.dst] <= rnd))
+    return messages.take(~lost), messages.take(lost)
+
+
+def count_route(sent: Messages, dropped: Messages, pop: Population,
+                metrics: RunMetrics) -> None:
+    """Count a routed step's deliveries, and its drops by reason."""
+    n_crashed = int(np.count_nonzero(pop.crash_round[dropped.dst] <= dropped.rnd))
+    metrics.delivered += len(sent) - len(dropped)
     metrics.dropped_to_crashed += n_crashed
-    metrics.dropped_to_halted += n_dropped - n_crashed
-    return messages.take(~lost), dropped
+    metrics.dropped_to_halted += len(dropped) - n_crashed
 
 
 def run(
@@ -272,96 +283,127 @@ def run(
     )
 
     pool = RecordPool(n, gamma1(config.params))
-    pop = Population.start(n, schedule.crash_round)
+    pop = Population.start(n, schedule.crash_round, max_rounds)
     metrics = RunMetrics(per_processor_halt_round=[None] * n)
     trace = TraceCollector(trace_kinds) if collect_trace else None
     window = StreamWindow(seed, n, max_rounds)
     p = truth.p
 
     rnd = 0
+    settles = None  # the round whose records settle the pool, once found
     while True:
-        # Crashed at or before this round, or halted.  Fixed for the round:
-        # nobody crashes or halts before gossip compute.
-        dead = pop.halted | (pop.crash_round <= rnd)
-        active = (~dead).nonzero()[0]
+        # Live and unhalted in this round.  Fixed for the round: nobody
+        # crashes or halts before gossip compute.
+        active = np.flatnonzero(~pop.halted & (pop.crash_round > rnd))
         if not active.size:
             completion = "all_halted"
             break
         if rnd >= max_rounds:
             completion = "round_cap_hit"
             break
-        live = active.size
-
-        if trace is not None:
-            trace.emit(rnd, "query", "send", "crash",
-                       np.flatnonzero(pop.crash_round == rnd).tolist())
-        if check_invariants:
-            known_before = pop.known[active]
+        # A block of rounds, stepped at once.  Until the pool settles
+        # globally nobody is enlightened, professes or halts, so a block
+        # runs to the window's end (which the round cap bounds) or to the
+        # first round with no live worker, and is cut below before the
+        # round whose records settle the pool.  From that round on, a block
+        # is one round.
+        end = window.reach(rnd, active)
+        if rnd == settles or pool.globally_estimable():
+            end = rnd + 1
+        else:
+            end = min(end, int(pop.crash_round[active].max()))
+        at, who = np.nonzero(pop.crash_round[active] > np.arange(rnd, end)[:, None])
+        pairs_rnd, pairs_pid = at + rnd, active[who]
 
         # ---- query stage ----------------------------------------------------
-        draws = window.stage(rnd, "query", active)
-        requests = protocol.query_send(pop, active, draws)
-        metrics.count_messages("task_request", len(requests))
-        to_crashed = metrics.dropped_to_crashed
-        received = _route(requests, "query", dead, pop, rnd, metrics, trace)
+        draws = window.stage(pairs_rnd, "query", pairs_pid)
+        requests = protocol.query_send(pop, pairs_pid, draws)
+        received, request_drops = deliver(requests, pop)
         responses = protocol.query_compute(pop, received, draws, p)
+        res = protocol.response_receive(pop, requests, responses)
+        if end > rnd + 1:
+            settles = pool.settling_round(requests.rnd, requests.dst, res)
+            if settles is not None:
+                # Nothing is committed yet.  The settling round, if it is
+                # the block's first, is a block of its own.
+                end = max(settles, rnd + 1)
+                requests, received, request_drops, responses = (
+                    m.take(slice(m.rnd.searchsorted(end)))
+                    for m in (requests, received, request_drops, responses))
+                pairs_pid, res = pairs_pid[:len(requests)], res[:len(requests)]
+        live = len(requests)  # processor-rounds in the block
+        metrics.count_messages("task_request", live)
+        to_crashed = metrics.dropped_to_crashed
+        count_route(requests, request_drops, pop, metrics)
         metrics.dropped_requests += len(received) - len(responses)
-        metrics.account_step(3 * live, messages=len(requests), tasks=len(responses))
+        metrics.account_step(3 * live, messages=live, tasks=len(responses))
 
         # ---- response stage -------------------------------------------------
         metrics.account_step(3 * live, messages=len(responses))
         metrics.count_messages("task_response", len(responses))
-        # Every response goes to a requester active this round, so none is
+        # Every response goes to a requester active in its round, so none is
         # dropped: they are counted as delivered without a drop pass.
         if check_invariants:
-            assert not np.any(dead[responses.dst]), (
-                f"a task response is addressed to a dead processor in round {rnd}"
+            assert not np.any((pop.crash_round[responses.dst] <= responses.rnd)
+                              | pop.halted[responses.dst]), (
+                f"a task response goes to a dead processor in rounds {rnd}-{end - 1}"
             )
         metrics.delivered += len(responses)
-        if trace is not None:
-            _trace_route(responses, responses, NO_MESSAGES, "response", pop, rnd, trace)
-        protocol.response_receive(pop, active, responses, pool, rnd)
+        pool.add_records(requests.src, requests.rnd, requests.dst, res)
+        if check_invariants:
+            assert end == rnd + 1 or not pool.globally_estimable(), (
+                f"the pool settled inside the block of rounds {rnd}-{end - 1}"
+            )
         # A requester hears nothing if its target crashed (a true crash
         # detection), halted, or served others over the request cap.
         metrics.false_crash_detections += (
             live - len(responses) - (metrics.dropped_to_crashed - to_crashed))
+        # Only a block's first round can enlighten anybody: a longer block
+        # ends before the pool settles.
         flipped = protocol.response_compute(pop, active, pool)
-        if trace is not None:
-            trace.emit(rnd, "response", "compute", "enlighten", flipped.tolist())
 
         # ---- gossip stage ---------------------------------------------------
-        gossip = protocol.gossip_send(pop, active, window.stage(rnd, "gossip", active))
+        gossip = protocol.gossip_send(
+            pop, pairs_pid, window.stage(requests.rnd, "gossip", pairs_pid))
         metrics.account_step(3 * live, messages=len(gossip))
         professes = int(np.count_nonzero(gossip.is_profess))
         metrics.count_messages("share", len(gossip) - professes)
         metrics.count_messages("profess", professes)
-        gossip = _route(gossip, "gossip", dead, pop, rnd, metrics, trace)
-        enlightened_now, level_reset = protocol.gossip_receive(pop, active, gossip)
-        if trace is not None:
-            # The two kinds interleave in id order, enlighten first on a tie;
-            # each run of one kind is one batch.
-            ids = np.concatenate([enlightened_now, level_reset])
-            order = np.argsort(ids, kind="stable")
-            is_reset = order >= enlightened_now.size
-            cuts = np.flatnonzero(np.diff(is_reset)) + 1
-            for part, resets in zip(np.split(ids[order], cuts),
-                                    np.split(is_reset, cuts)):
-                trace.emit(rnd, "gossip", "receive",
-                           "ell_reset" if resets.any() else "enlighten", part.tolist())
-        halted = protocol.gossip_compute(pop, active, gossip, pool)
-        for pid in halted.tolist():
-            metrics.per_processor_halt_round[pid] = rnd
-        if trace is not None:
-            trace.emit(rnd, "gossip", "compute", "halt", halted.tolist())
+        inbox, gossip_drops = deliver(gossip, pop)
+        count_route(gossip, gossip_drops, pop, metrics)
+        enlightened_now, level_reset = protocol.gossip_receive(pop, active, inbox)
 
-        if check_invariants:
-            assert np.all(pop.known[active] >= known_before), (
-                f"knowledge shrank in round {rnd}"
-            )
-            assert np.all(pop.enlightened[active] | (pop.level[active] == 0)), (
-                f"an unenlightened processor has a nonzero level in round {rnd}"
-            )
-        rnd += 1
+        # ---- round by round: own records, knowledge merges and halts --------
+        edges = np.arange(rnd, end + 1)
+        if trace is not None:
+            traced = zip(*(_by_round(m, edges) for m in (
+                received, request_drops, responses, gossip, inbox, gossip_drops)))
+            nobody = active[:0]
+        cuts = requests.rnd.searchsorted(edges).tolist()
+        for r, lo, hi, merged in zip(range(rnd, end), cuts, cuts[1:],
+                                     _by_round(inbox, edges)):
+            acting = pairs_pid[lo:hi]
+            if trace is not None:
+                events = ((flipped, enlightened_now, level_reset) if r == rnd
+                          else (nobody,) * 3)
+                _trace_round(r, requests.take(slice(lo, hi)), *next(traced), *events,
+                             pop, trace)
+            if check_invariants:
+                known_before = pop.known[acting]
+            pop.known[acting, acting] = r
+            halted = protocol.gossip_compute(pop, acting, merged, pool)
+            for pid in halted.tolist():
+                metrics.per_processor_halt_round[pid] = r
+            if trace is not None:
+                trace.emit(r, "gossip", "compute", "halt", halted.tolist())
+            if check_invariants:
+                assert np.all(pop.known[acting] >= known_before), (
+                    f"knowledge shrank in round {r}"
+                )
+                assert np.all(pop.enlightened[acting] | (pop.level[acting] == 0)), (
+                    f"an unenlightened processor has a nonzero level in round {r}"
+                )
+        rnd = end
 
     metrics.rounds_to_all_halt = rnd
     return RunResult(
@@ -377,6 +419,32 @@ def run(
     )
 
 
+def _by_round(messages: Messages, edges: np.ndarray) -> list[Messages]:
+    """A set of messages ordered by round, split at the rounds ``edges``."""
+    cuts = messages.rnd.searchsorted(edges).tolist()
+    return [messages.take(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _trace_round(rnd, requests, received, request_drops, responses, gossip, inbox,
+                 gossip_drops, flipped, enlightened_now, level_reset, pop, trace):
+    """Trace one round's steps up to its gossip compute step."""
+    trace.emit(rnd, "query", "send", "crash",
+               np.flatnonzero(pop.crash_round == rnd).tolist())
+    _trace_route(requests, received, request_drops, "query", pop, rnd, trace)
+    _trace_route(responses, responses, NO_MESSAGES, "response", pop, rnd, trace)
+    trace.emit(rnd, "response", "compute", "enlighten", flipped.tolist())
+    _trace_route(gossip, inbox, gossip_drops, "gossip", pop, rnd, trace)
+    # The two kinds interleave in id order, enlighten first on a tie; each
+    # run of one kind is one batch.
+    ids = np.concatenate([enlightened_now, level_reset])
+    order = np.argsort(ids, kind="stable")
+    is_reset = order >= enlightened_now.size
+    cuts = np.flatnonzero(np.diff(is_reset)) + 1
+    for part, resets in zip(np.split(ids[order], cuts), np.split(is_reset, cuts)):
+        trace.emit(rnd, "gossip", "receive",
+                   "ell_reset" if resets.any() else "enlighten", part.tolist())
+
+
 _TASK_KIND = {"query": "task_request", "response": "task_response"}
 
 
@@ -384,14 +452,6 @@ def _kinds(messages: Messages, stage: str) -> list[str]:
     if stage == "gossip":
         return np.where(messages.is_profess, "profess", "share").tolist()
     return [_TASK_KIND[stage]] * len(messages)
-
-
-def _route(messages, stage, dead, pop, rnd, metrics, trace) -> Messages:
-    """Deliver one step's messages, tracing sends, drops and receives."""
-    delivered, dropped = deliver(messages, dead, pop, rnd, metrics)
-    if trace is not None:
-        _trace_route(messages, delivered, dropped, stage, pop, rnd, trace)
-    return delivered
 
 
 def _trace_route(sent, delivered, dropped, stage, pop, rnd, trace) -> None:

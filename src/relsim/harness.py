@@ -287,7 +287,11 @@ def _sweep_point(payload: tuple[dict, int, int]) -> dict:
 
 
 def sweep(spec: ExperimentSpec) -> list[dict]:
-    """Run the grid and return per-trial rows plus per-n aggregates."""
+    """Run the grid and return per-trial rows plus per-n aggregates.
+
+    An aggregate's completion cell counts its trials that stopped at the
+    round cap, as ``round_cap_hit k/trials``.
+    """
     base_dict = spec.base.to_dict()
     points = [(base_dict, n, t) for n in spec.grid for t in range(spec.trials)]
     if spec.jobs > 1:
@@ -299,7 +303,10 @@ def sweep(spec: ExperimentSpec) -> list[dict]:
     for n in spec.grid:
         group = [r for r in rows if r["n"] == n]
         out.extend(group)
-        aggregate = dict.fromkeys(SWEEP_COLUMNS, "") | {"row_type": "aggregate", "n": n}
+        capped = sum(r["completion"] == "round_cap_hit" for r in group)
+        aggregate = dict.fromkeys(SWEEP_COLUMNS, "") | {
+            "row_type": "aggregate", "n": n,
+            "completion": f"round_cap_hit {capped}/{len(group)}"}
         for name in AGGREGATED_COLUMNS:
             values = [float(r[name]) for r in group]
             digits = 6 if name == "fraction_within_band" else 3

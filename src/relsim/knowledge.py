@@ -55,9 +55,9 @@ _NEVER = np.iinfo(np.int32).max
 _MASK_CELLS = 1 << 15
 
 
-def empty_knowledge(n: int) -> np.ndarray:
+def empty_knowledge(n: int, dtype=np.int32) -> np.ndarray:
     """Knowledge vector that knows nothing: -1 for every creator."""
-    return np.full(n, -1, dtype=np.int32)
+    return np.full(n, -1, dtype=dtype)
 
 
 def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,12 +78,16 @@ def merge_knowledge(known: np.ndarray, dst: np.ndarray, src: np.ndarray) -> None
     merged into contributes its value from before this merge, as a snapshot
     taken at send time would.
     """
-    if len(dst) == 0:
+    if len(dst) <= 1:
+        if len(dst):
+            # One message, as in most rounds of a sparse population.
+            row = known[dst[0]]
+            np.maximum(row, known[src[0]], out=row)
         return
     counts = np.bincount(dst)
     most = int(counts.max())
     if most == 1:
-        # No destination repeats, as in most rounds of a sparse population.
+        # No destination repeats.
         known[dst] = np.maximum(known[dst], known[src])
         return
     order = dst.argsort(kind="stable")
@@ -98,6 +102,13 @@ def merge_knowledge(known: np.ndarray, dst: np.ndarray, src: np.ndarray) -> None
         group = (sizes > k).nonzero()[0] if k else slice(None)
         merged[group] = np.maximum(merged[group], known[src[firsts[group] + k]])
     known[rows] = merged
+
+
+def _firsts(values: np.ndarray, rnd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``values`` and the round of each one's first occurrence,
+    for ``rnd`` ascending."""
+    distinct, first = np.unique(values, return_index=True)
+    return distinct, rnd[first]
 
 
 def _crossing(bounds: np.ndarray, correct: np.ndarray, base, needed: int, counted=True):
@@ -167,17 +178,25 @@ class RecordPool:
         """Register the record ``(res, creator, rnd)`` about ``target``."""
         self.add_records([creator], rnd, [target], [res])
 
-    def add_records(self, creators, rnd: int, targets, res) -> None:
-        """Register one record per creator, all created in round ``rnd``.
+    def add_records(self, creators, rnd, targets, res) -> None:
+        """Register one record per creator, created in round ``rnd``: one
+        round for all of them or one per record.
 
         Records arrive in creation order: rounds never go backwards and
         creators ascend strictly within a round.  A batch breaking that
         order raises :class:`ValueError` and adds nothing.
         """
-        start = self._count
-        end = start + len(creators)
-        if start == end:
+        creators = np.asarray(creators, dtype=np.intp)
+        if not creators.size:
             return
+        rnd = np.broadcast_to(np.asarray(rnd, dtype=np.int32), creators.shape)
+        key = rnd.astype(np.int64) * self.n + creators
+        last_rnd, last_src = self._tail
+        if (key[0] <= last_rnd * self.n + last_src
+                or np.count_nonzero(key[1:] <= key[:-1])):
+            raise ValueError("records must be added in (round, creator) order")
+        start = self._count
+        end = start + creators.size
         if end > self._src.size:
             size = max(1024, 2 * self._src.size, end)
             for name in ("_src", "_rnd", "_tgt", "_res"):
@@ -188,42 +207,73 @@ class RecordPool:
         self._rnd[start:end] = rnd
         self._tgt[start:end] = targets
         self._res[start:end] = res
-        new = self._src[start:end]
-        last_rnd, last_src = self._tail
-        if (rnd < last_rnd or (rnd == last_rnd and new[0] <= last_src)
-                or np.count_nonzero(new[1:] <= new[:-1])):
-            raise ValueError("records must be added in (round, creator) order")
-        self._tail = (rnd, int(new[-1]))
+        self._tail = (int(rnd[-1]), int(creators[-1]))
         self._count = end
-        tgt, res = self._tgt[start:end], self._res[start:end]
-        self._last[new] = rnd
+        rnd, tgt, res = self._rnd[start:end], self._tgt[start:end], self._res[start:end]
+        # Rounds ascend, so each creator's newest round is its largest.
+        np.maximum.at(self._last, creators, rnd)
         correct = res == 1
         hits = np.bincount(tgt[correct], minlength=self.n)
         self._total_correct += hits
         reached = self._total_correct >= self.needed
         crossing = np.count_nonzero(reached) > self._num_crossed
         if crossing:
-            fresh = reached & (self._cross_round == _NEVER)
-            self._num_crossed += np.count_nonzero(fresh)
-            # Every record this round about a crossing target, grouped by
-            # target in creation order: those before the crossing record are
-            # the target's records this round before it.
-            pick = np.flatnonzero(fresh[tgt])
-            pick = pick[np.argsort(tgt[pick], kind="stable")]
-            targets, bounds = runs(tgt[pick])
-            _, prior = _crossing(bounds, correct[pick],
-                                 self._total_correct[targets] - hits[targets], self.needed)
-            trials = self._total[targets] + prior
-            self._cross_round[targets] = rnd
-            self._cross_value[targets] = self.gamma1 / trials.astype(np.float64)
+            targets, at, prior = self._crossings(
+                tgt, correct, reached & (self._cross_round == _NEVER),
+                self._total_correct - hits)
+            self._num_crossed += targets.size
+            self._cross_round[targets] = rnd[at]
+            self._cross_value[targets] = self.gamma1 / (
+                self._total[targets] + prior).astype(np.float64)
         self._total += np.bincount(tgt, minlength=self.n)
-        crash = tgt[res == -1]
-        if crash.size:
-            crash = crash[self._first_crash[crash] == _NEVER]
-            self._first_crash[crash] = rnd
-        if crossing or crash.size:
+        crash = res == -1
+        fresh = 0
+        if np.count_nonzero(crash):
+            targets, first = _firsts(tgt[crash], rnd[crash])
+            new = self._first_crash[targets] == _NEVER
+            self._first_crash[targets[new]] = first[new]
+            fresh = np.count_nonzero(new)
+        if crossing or fresh:
             self._num_settled = np.count_nonzero(
                 np.minimum(self._cross_round, self._first_crash) != _NEVER)
+
+    def _crossings(self, tgt, correct, crossed, base):
+        """Where the targets flagged in ``crossed`` reach the threshold among
+        new records ``tgt``, ``correct`` (in creation order), counting from
+        ``base``: the targets, the index of each one's crossing record and
+        the number of its new records before that one.
+        """
+        # Every new record about a crossing target, grouped by target in
+        # creation order: those before the crossing record are below it.
+        pick = np.flatnonzero(crossed[tgt])
+        pick = pick[np.argsort(tgt[pick], kind="stable")]
+        targets, bounds = runs(tgt[pick])
+        _, prior = _crossing(bounds, correct[pick], base[targets], self.needed)
+        return targets, pick[bounds[:-1] + prior], prior
+
+    def settling_round(self, rnd: np.ndarray, tgt: np.ndarray, res: np.ndarray):
+        """The round after whose records the pool would first be globally
+        estimable, were the records ``rnd``, ``tgt``, ``res`` added in
+        creation order; None if not even after all of them.  Adds nothing.
+        """
+        when = np.minimum(self._cross_round, self._first_crash).astype(np.int64)
+        open_ = when == _NEVER
+        correct = res == 1
+        base = self._total_correct
+        hits = np.bincount(tgt[correct], minlength=self.n)
+        crossed = open_ & (base + hits >= self.needed)
+        targets, at, _ = self._crossings(tgt, correct, crossed, base)
+        when[targets] = rnd[at]
+        # A target settled before these records keeps its earlier round.
+        crash = res == -1
+        targets, first = _firsts(tgt[crash], rnd[crash])
+        when[targets] = np.minimum(when[targets], first)
+        settled = int(when.max())
+        return None if settled == _NEVER else settled
+
+    def newest(self, creators: np.ndarray) -> np.ndarray:
+        """Round of each creator's newest record (-1 for none)."""
+        return self._last[creators]
 
     def globally_estimable(self) -> bool:
         """True once every target could be settled by a full-union knower."""

@@ -14,17 +14,23 @@ double as priorities: a processor that hears a higher-priority profess resets
 its own level, which keeps the total profess volume bounded.
 
 The step functions below are whole-population transitions.  Each takes the
-:class:`Population`, the ids of the processors acting this round (live and
-unhalted, ascending) and the step's inputs, and updates the state of exactly
-those processors.  No processor's transition reads state that another's
-changes in the same step, so each step equals running the per-processor
-transition for every acting processor in id order.
+:class:`Population`, the processors acting (live and unhalted) and the
+step's inputs, and updates the state of exactly those processors.  No
+processor's transition reads state that another's changes in the same step,
+so each step equals running the per-processor transition for every acting
+processor in id order.  Until the pool settles globally nobody is
+enlightened, professes or halts, so the engine hands every step but
+``gossip_compute`` a block of consecutive rounds at once: the acting
+processors are then those of (round, processor) pairs, ordered by round,
+then id, and each message carries the round it is sent in.  Only the
+knowledge merges depend on the round before, and go round by round.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -68,36 +74,40 @@ class Messages:
 
     ``level`` is the sender's level (a profess's priority; 0 on shares) and
     ``is_profess`` marks profess messages; both are set on gossip only.
-    ``correct`` is the outcome a task response carries.  Gossip carries the
-    sender's whole knowledge row, read when it is merged: nothing changes a
-    row between a gossip send and the merge.
+    ``correct`` is the outcome a task response carries.  ``rnd`` is the
+    round each message is sent in; the engine sets it on every message.
+    Gossip carries the sender's whole knowledge row, read when it is merged:
+    nothing changes a row between a gossip send and the merge.
     """
 
-    __slots__ = ("src", "dst", "level", "is_profess", "correct")
+    __slots__ = ("src", "dst", "level", "is_profess", "correct", "rnd")
 
     def __init__(self, src: np.ndarray, dst: np.ndarray, level=None,
-                 is_profess=None, correct=None):
+                 is_profess=None, correct=None, rnd=None):
         self.src = src
         self.dst = dst
         self.level = level
         self.is_profess = is_profess
         self.correct = correct
+        self.rnd = rnd
 
     def __len__(self) -> int:
         return len(self.dst)
 
     def take(self, index) -> "Messages":
         level, is_profess, correct = self.level, self.is_profess, self.correct
+        rnd = self.rnd
         return Messages(self.src[index], self.dst[index],
                         None if level is None else level[index],
                         None if is_profess is None else is_profess[index],
-                        None if correct is None else correct[index])
+                        None if correct is None else correct[index],
+                        None if rnd is None else rnd[index])
 
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 # No messages, with every field present; shared, so never written to.
 NO_MESSAGES = Messages(_NO_IDS, _NO_IDS, _NO_IDS, np.empty(0, dtype=bool),
-                       np.empty(0, dtype=np.int32))
+                       np.empty(0, dtype=np.int32), _NO_IDS)
 
 
 @dataclass
@@ -105,10 +115,11 @@ class Population:
     """Protocol state of all ``n`` processors, indexed by processor id.
 
     Row ``i`` of ``known`` is processor i's compressed knowledge vector (see
-    :mod:`.knowledge`).  ``level`` is 0 wherever ``enlightened`` is False;
-    ``target`` is the peer each processor queried this round;
-    ``crash_round`` is the round each processor crashes in (:data:`NEVER`
-    if it does not); ``estimates`` gains an entry, exactly once, at halt.
+    :mod:`.knowledge`); it holds -1 or a round below the run's round cap,
+    so it is int16 when every such round fits and int32 otherwise.
+    ``level`` is 0 wherever ``enlightened`` is False; ``crash_round`` is the
+    round each processor crashes in (:data:`NEVER` if it does not);
+    ``estimates`` gains an entry, exactly once, at halt.
     """
 
     n: int
@@ -117,21 +128,22 @@ class Population:
     level: np.ndarray
     enlightened: np.ndarray
     halted: np.ndarray
-    target: np.ndarray
     estimates: dict[int, np.ndarray] = field(default_factory=dict)
 
     @staticmethod
-    def start(n: int, crash_round: dict[int, int]) -> "Population":
+    def start(n: int, crash_round: dict[int, int],
+              max_rounds: Optional[int] = None) -> "Population":
+        """Initial state; ``max_rounds`` is the run's round cap, if known."""
         crashes = np.full(n, NEVER, dtype=np.int64)
         crashes[list(crash_round)] = list(crash_round.values())
+        small = max_rounds is not None and max_rounds - 1 <= np.iinfo(np.int16).max
         return Population(
             n=n,
             crash_round=crashes,
-            known=np.tile(empty_knowledge(n), (n, 1)),
+            known=np.tile(empty_knowledge(n, np.int16 if small else np.int32), (n, 1)),
             level=np.zeros(n, dtype=np.int64),
             enlightened=np.zeros(n, dtype=bool),
             halted=np.zeros(n, dtype=bool),
-            target=np.zeros(n, dtype=np.int64),
         )
 
 
@@ -140,46 +152,43 @@ class Population:
 
 def query_send(pop: Population, active: np.ndarray, draws: StageDraws) -> Messages:
     """Each processor picks a uniform random peer (self allowed) and requests
-    a test task."""
-    peers = draws.index()
-    pop.target[active] = peers
-    return Messages(active, peers)
+    a test task.  ``active`` is the processor of each row of ``draws``."""
+    return Messages(active, draws.index(), rnd=draws.rnd)
 
 
 def query_compute(pop: Population, requests: Messages, draws: StageDraws,
                   p: np.ndarray) -> Messages:
     """Serve received task requests, at most ``request_cap(n)`` per server.
 
-    A server with more requests than the cap serves a uniform subset of
-    exactly the cap.  Each served request costs one fresh correctness draw
-    against the server's reliability ``p``, in requester-id order.  Returns
-    the task responses, by server id, then requester id.
+    A server with more requests in a round than the cap serves a uniform
+    subset of exactly the cap.  Each served request costs one fresh
+    correctness draw against the server's reliability ``p``, in requester-id
+    order.  Returns the task responses, by round, then server id, then
+    requester id.
     """
-    order = requests.dst.argsort(kind="stable")
-    servers = requests.dst[order]
+    order = (requests.rnd * pop.n + requests.dst).argsort(kind="stable")
+    rnd, servers = requests.rnd[order], requests.dst[order]
     requesters, rows, correct = draws.serve(
-        draws.pids.searchsorted(servers), requests.src[order],
-        request_cap(pop.n), p[servers])
-    return Messages(draws.pids[rows], requesters, correct=correct)
+        draws.rows(rnd, servers), requests.src[order], request_cap(pop.n), p[servers])
+    return Messages(draws.pids[rows], requesters, correct=correct, rnd=draws.rnd[rows])
 
 
 # --- response stage ------------------------------------------------------------
 
 
-def response_receive(pop: Population, active: np.ndarray, responses: Messages,
-                     pool: RecordPool, rnd: int) -> np.ndarray:
-    """Record this round's query outcome of every processor.
+def response_receive(pop: Population, requests: Messages,
+                     responses: Messages) -> np.ndarray:
+    """The query outcome of every request, which the engine records.
 
-    Exactly one record each: res 1 for a correct answer, 0 for an incorrect
-    one, -1 when no response arrived (the peer is presumed crashed).
-    Returns the res values, aligned with ``active``.
+    Exactly one each: res 1 for a correct answer, 0 for an incorrect one,
+    -1 when no response arrived (the peer is presumed crashed).  Returns the
+    res values, aligned with ``requests``: one per (round, requester).
     """
-    # A processor's only request went to its target, so any response it
-    # received is the answer.
-    res = np.full(active.size, -1, dtype=np.int32)
-    res[active.searchsorted(responses.dst)] = responses.correct
-    pool.add_records(active, rnd, pop.target[active], res)
-    pop.known[active, active] = rnd
+    # A processor's only request of a round went to its target, so any
+    # response it received in that round is the answer.
+    res = np.full(len(requests), -1, dtype=np.int32)
+    sent = requests.rnd * pop.n + requests.src
+    res[sent.searchsorted(responses.rnd * pop.n + responses.dst)] = responses.correct
     return res
 
 
@@ -193,7 +202,11 @@ def response_compute(pop: Population, active: np.ndarray,
     if not pool.globally_estimable():
         return active[:0]
     waiting = active[~pop.enlightened[active]]
-    flipped = waiting[pool.satisfied(pop.known[waiting])]
+    rows = pop.known[waiting]
+    # A processor knows every record it created; the engine writes its
+    # newest one into ``known`` just before the round's merge.
+    rows[np.arange(waiting.size), waiting] = pool.newest(waiting)
+    flipped = waiting[pool.satisfied(rows)]
     pop.enlightened[flipped] = True
     return flipped
 
@@ -212,7 +225,8 @@ def gossip_send(pop: Population, active: np.ndarray, draws: StageDraws) -> Messa
     """
     professing = pop.enlightened[active]
     if not np.count_nonzero(professing):
-        return Messages(active, draws.index(), pop.level[active], professing)
+        return Messages(active, draws.index(), pop.level[active], professing,
+                        rnd=draws.rnd)
     sharers = np.flatnonzero(~professing)
     professors = np.flatnonzero(professing)
     levels, inverse = np.unique(pop.level[active[professors]], return_inverse=True)
@@ -224,7 +238,7 @@ def gossip_send(pop: Population, active: np.ndarray, draws: StageDraws) -> Messa
         rows = rows[order]
         dst = np.concatenate((draws.index(sharers), dst))[order]
     src = active[rows]
-    out = Messages(src, dst, pop.level[src], professing[rows])
+    out = Messages(src, dst, pop.level[src], professing[rows], rnd=draws.rnd[rows])
     pop.level[active[professors]] += 1
     return out
 
@@ -264,6 +278,8 @@ def gossip_compute(pop: Population, active: np.ndarray, inbox: Messages,
     and halts the processor.  Returns the ids that halted.
     """
     merge_knowledge(pop.known, inbox.dst, inbox.src)
+    if not np.count_nonzero(inbox.is_profess):
+        return active[:0]
     final = inbox.is_profess & (inbox.level >= ceil_log2(pop.n))
     if not np.count_nonzero(final):
         return active[:0]

@@ -8,11 +8,12 @@ operations; :class:`StreamWindow` does this for every live processor and the
 next few rounds in one call, and decodes the window's first draws in the
 same call: each stage's ``integers(n)`` and the ``random()`` doubles after it.
 
-:class:`StageDraws` serves one stage of one round from those blocks, decoded
-exactly as ``numpy.random.Generator`` would: ``integers(n)`` is Lemire's
-multiply-shift on 32-bit halves of words (Lemire, "Fast random integer
-generation in an interval", TOMACS 2019), low half first, and ``random()``
-is ``(word >> 11) * 2**-53``.  Rows whose draws fall outside the first
+:class:`StageDraws` serves one stage of (round, processor) pairs, of one round
+or a block of them, from those blocks, decoded exactly as
+``numpy.random.Generator`` would: ``integers(n)`` is Lemire's multiply-shift
+on 32-bit halves of words (Lemire, "Fast random integer generation in an
+interval", TOMACS 2019), low half first, and ``random()`` is
+``(word >> 11) * 2**-53``.  Rows whose draws fall outside the first
 block, or hit Lemire's rejection, are replayed through an exact re-keyed
 ``Generator``, so every value is bit-identical to a fresh :func:`rng_stream`
 consumed in the same order.
@@ -164,20 +165,21 @@ def decode(words: np.ndarray, n: int):
 
 
 class StageDraws:
-    """One stage's draws for the processors ``pids`` (ascending) in one round.
+    """One stage's draws for (round, processor) pairs, ordered by round, then id.
 
-    ``words`` holds each row's first Philox block, ``n`` is the range of the
-    stage's first draw, ``integers(n)``, and ``decoded`` is
-    ``decode(words, n)``.  Methods take row positions into ``pids`` and
+    Row ``i`` is processor ``pids[i]`` in round ``rnd[i]``; ``rnd`` may be
+    one round for every row.  ``words`` holds each row's first Philox
+    block, ``n`` is the range of the stage's first draw, ``integers(n)``,
+    and ``decoded`` is ``decode(words, n)``.  Methods take row positions and
     return what the named numpy calls would on a fresh stream of each row's
     key.
     """
 
-    def __init__(self, seed: int, rnd: int, stage: str, n: int,
+    def __init__(self, seed: int, rnd, stage: str, n: int,
                  pids: np.ndarray, words: np.ndarray, decoded,
                  rekeyed: RekeyedStream):
         self.seed = seed
-        self.rnd = rnd
+        self.rnd = np.broadcast_to(rnd, pids.shape)
         self.stage = stage
         self.n = n
         self.pids = pids
@@ -187,8 +189,12 @@ class StageDraws:
 
     def exact(self, row: int) -> np.random.Generator:
         """A generator at the start of row ``row``'s stream."""
-        return self._rekeyed.get(self.seed, int(self.pids[row]), self.rnd,
+        return self._rekeyed.get(self.seed, int(self.pids[row]), int(self.rnd[row]),
                                  self.stage)
+
+    def rows(self, rnd: np.ndarray, pids: np.ndarray) -> np.ndarray:
+        """Row positions of the pairs ``(rnd[i], pids[i])``, each one a row."""
+        return (self.rnd * self.n + self.pids).searchsorted(rnd * self.n + pids)
 
     def index(self, rows=None) -> np.ndarray:
         """``integers(n)`` of every row, or of the rows listed."""
@@ -275,6 +281,7 @@ class StreamWindow:
     of rounds ``[start, start + width)``, with ``width`` about
     ``_WINDOW_KEYS / (2 * live)``, and their :func:`decode`.  The live set
     only shrinks during a run, so one window serves every round it spans.
+    Its width also bounds a block of rounds that the engine steps at once.
     """
 
     _STAGES = ("query", "gossip")
@@ -296,33 +303,39 @@ class StreamWindow:
             stream_key(self.seed, pids[None, :], rounds[:, None], stage)[1]
             for stage in self._STAGES
         ]
-        blocks = philox_first_block(self.seed, np.stack(words, axis=1).ravel())
-        self._blocks = blocks.reshape(width, 2, pids.size, 4)
+        blocks = philox_first_block(self.seed, np.stack(words).ravel())
+        self._blocks = blocks.reshape(2, width, pids.size, 4)
         self._decoded = decode(self._blocks, self.n)
         self._pids = pids
         self._start = rnd
         self._width = width
 
-    def stage(self, rnd: int, stage: str, pids: np.ndarray) -> StageDraws:
-        """Draws of ``stage`` in round ``rnd`` for the ascending ``pids``."""
-        offset = rnd - self._start
-        if not 0 <= offset < self._width:
+    def reach(self, rnd: int, pids: np.ndarray) -> int:
+        """Make the window serve the ascending ``pids`` from round ``rnd`` on,
+        refilling it from ``rnd`` if it cannot; returns the first round after
+        it."""
+        if not 0 <= rnd - self._start < self._width:
             self._fill(rnd, pids)
-            offset = 0
         elif pids.size != self._pids.size:
             # The live set only shrinks, so a live set of the window's size
-            # is the window's set.  A smaller one keeps the rest of the
-            # window for its rows.
+            # is the window's set, and a smaller one is read from its rows.
             rows = self._pids.searchsorted(pids).clip(0, self._pids.size - 1)
-            if np.array_equal(self._pids[rows], pids):
-                self._blocks = self._blocks[offset:].take(rows, axis=2)
-                self._decoded = [a[offset:].take(rows, axis=2) for a in self._decoded]
-                self._pids = pids
-                self._start, self._width = rnd, self._width - offset
-            else:
+            if not np.array_equal(self._pids[rows], pids):
                 self._fill(rnd, pids)
-            offset = 0
-        at = offset, self._STAGES.index(stage)
-        words, *decoded = (a[at] for a in (self._blocks, *self._decoded))
+        return self._start + self._width
+
+    def stage(self, rnd, stage: str, pids: np.ndarray) -> StageDraws:
+        """Draws of ``stage`` for the pairs ``(rnd[i], pids[i])``, ordered by
+        round, then id, or for the ascending ``pids`` in the one round ``rnd``.
+
+        The window must :meth:`reach` every pair's processor and round; a
+        single round is reached here.
+        """
+        if np.ndim(rnd) == 0:
+            self.reach(rnd, pids)
+        flat = (rnd - self._start) * self._pids.size + self._pids.searchsorted(pids)
+        at = self._STAGES.index(stage)
+        words, *decoded = (a[at].reshape(-1, *a.shape[3:])[flat]
+                           for a in (self._blocks, *self._decoded))
         return StageDraws(self.seed, rnd, stage, self.n, pids, words, decoded,
                           self._rekeyed)

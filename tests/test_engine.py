@@ -13,6 +13,7 @@ from relsim.adversary import (
 from relsim.engine import (
     ConfigError,
     RunConfig,
+    count_route,
     deliver,
     rng_stream,
     run,
@@ -82,8 +83,10 @@ class TestRngStream:
 class TestDeliver:
     def _route(self, dst, pop, rnd, metrics):
         dst = np.array(dst, dtype=np.int64)
-        dead = pop.halted | (pop.crash_round <= rnd)
-        return deliver(Messages(np.zeros_like(dst), dst), dead, pop, rnd, metrics)
+        sent = Messages(np.zeros_like(dst), dst, rnd=np.full_like(dst, rnd))
+        delivered, dropped = deliver(sent, pop)
+        count_route(sent, dropped, pop, metrics)
+        return delivered, dropped
 
     def test_message_to_crashed_same_round_dropped(self):
         metrics = RunMetrics()

@@ -298,7 +298,9 @@ class TestSweep:
                      if r["row_type"] == "trial" and r["n"] == aggregate["n"]]
             assert len(group) == trials
             assert list(aggregate) == SWEEP_COLUMNS
-            assert aggregate["trial"] == aggregate["seed"] == aggregate["completion"] == ""
+            assert aggregate["trial"] == aggregate["seed"] == ""
+            capped = sum(r["completion"] == "round_cap_hit" for r in group)
+            assert aggregate["completion"] == f"round_cap_hit {capped}/{trials}"
             for name, digits in [("T", 3), ("W", 3), ("M", 3),
                                  ("fraction_within_band", 6),
                                  ("false_positives", 3), ("undetermined", 3)]:
@@ -307,6 +309,17 @@ class TestSweep:
                 if name in ("T", "W", "M", "fraction_within_band"):
                     assert aggregate[f"std_{name}"] == round(
                         statistics.pstdev(values), digits)
+
+    def test_aggregate_counts_round_cap_hits(self, tmp_path):
+        # Uncapped, these trials halt after 79, 70, 76, 76 rounds at n=16
+        # and 88, 76, 78, 76 at n=32; a cap of 77 stops one and two of them.
+        base = RunConfig(n=16, params=EstimationParams(0.5, 0.1), seed=100,
+                         max_rounds=77)
+        rows = sweep(ExperimentSpec(grid=(16, 32), trials=4, base=base))
+        aggregates = [r["completion"] for r in rows if r["row_type"] == "aggregate"]
+        assert aggregates == ["round_cap_hit 1/4", "round_cap_hit 2/4"]
+        trials = [r["completion"] for r in rows if r["row_type"] == "trial"]
+        assert trials.count("round_cap_hit") == 3
 
     def test_cli_sweep_end_to_end(self, tmp_path, capsys):
         code = main(["sweep", "--grid", "8,16", "--trials", "2",

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -236,3 +237,75 @@ def test_cut_queries_match_brute_force(seed, n, rounds, skip, crash):
         for known, estimates in zip(rows, batch):
             assert np.array_equal(estimates, pool.estimate_all(known), equal_nan=True)
             _assert_estimates_match(pool, known)
+
+
+FACTS = ("_total", "_total_correct", "_first_crash", "_cross_round", "_cross_value",
+         "_last")
+
+
+def _assert_same_facts(pool, other):
+    assert len(pool) == len(other)
+    for name in FACTS:
+        assert np.array_equal(getattr(pool, name), getattr(other, name),
+                              equal_nan=True), name
+    assert pool.globally_estimable() == other.globally_estimable()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       rounds=st.integers(1, 80), skip=st.sampled_from([0.0, 0.2, 0.6]),
+       crash=st.sampled_from([0.0, 0.01, 0.05]), loose=st.booleans())
+def test_multi_round_add_matches_round_by_round(seed, n, rounds, skip, crash, loose):
+    # The same records added round by round, one at a time, and in blocks
+    # of consecutive rounds with a round per record.
+    rng = np.random.default_rng(seed)
+    params = EstimationParams(0.9, 0.45) if loose else SMALL
+    by_round, one_by_one, blocked = (RecordPool(n, gamma1(params)) for _ in range(3))
+    records = []
+    for rnd in range(rounds):
+        creators = np.flatnonzero(rng.random(n) >= skip)
+        roll = rng.random(creators.size)
+        res = np.where(roll < crash, -1, np.where(roll < 0.65, 1, 0))
+        records.append((creators, np.full(creators.size, rnd),
+                        rng.integers(0, n, size=creators.size), res))
+    edges = sorted({0, rounds, *rng.integers(0, rounds, size=4).tolist()})
+    for lo, hi in zip(edges, edges[1:]):
+        creators, rnd, targets, res = (np.concatenate(column)
+                                       for column in zip(*records[lo:hi]))
+        settles = None
+        for r in range(lo, hi):
+            round_creators, _, round_targets, round_res = records[r]
+            by_round.add_records(round_creators, r, round_targets, round_res)
+            for c, t, v in zip(round_creators.tolist(), round_targets.tolist(),
+                               round_res.tolist()):
+                one_by_one.add_record(c, r, t, v)
+            if settles is None and by_round.globally_estimable():
+                settles = r
+        if not blocked.globally_estimable():
+            assert blocked.settling_round(rnd, targets, res) == settles
+        # Out of (round, creator) order: the block reversed, its first
+        # record twice, and the newest record already added.  Each is
+        # rejected whole.
+        bad = []
+        if creators.size > 1:
+            bad.append((creators[::-1], rnd[::-1]))
+        if creators.size:
+            bad.append((creators[[0, 0]], rnd[[0, 0]]))
+        if len(blocked):
+            bad.append((blocked._src[len(blocked) - 1:len(blocked)],
+                        blocked._rnd[len(blocked) - 1:len(blocked)]))
+        kept = copy.deepcopy(blocked)
+        for bad_creators, bad_rnd in bad:
+            size = bad_creators.size
+            with pytest.raises(ValueError):
+                blocked.add_records(bad_creators, bad_rnd, np.zeros(size, dtype=int),
+                                    np.ones(size, dtype=int))
+            _assert_same_facts(blocked, kept)
+        before = len(blocked)
+        blocked.add_records(creators, rnd, targets, res)
+        assert len(blocked) == before + creators.size
+        _assert_same_facts(blocked, by_round)
+        _assert_same_facts(blocked, one_by_one)
+    last = np.full(n, rounds - 1, dtype=np.int32)
+    assert np.array_equal(blocked.estimate_all(last), by_round.estimate_all(last),
+                          equal_nan=True)

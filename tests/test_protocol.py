@@ -111,7 +111,7 @@ class TestQuery:
         pop = make_pop(1)
         requests = query_send(pop, ids(0), draws(pop, 1, 0, "query", ids(0)))
         assert requests.src.tolist() == [0] and requests.dst.tolist() == [0]
-        assert pop.target[0] == 0
+        assert requests.rnd.tolist() == [0]
 
     def test_reproducible_target_sequence(self):
         def picks():
@@ -134,7 +134,8 @@ class TestQuery:
     def test_cap_subsets_large_inbox(self):
         pop = make_pop(1024)
         active = np.arange(14)
-        requests = Messages(active, np.zeros(14, dtype=np.int64))
+        requests = Messages(active, np.zeros(14, dtype=np.int64),
+                            rnd=np.zeros(14, dtype=np.int64))
         plan = query_compute(pop, requests, draws(pop, 5, 0, "query", active),
                              np.ones(1024))
         assert len(plan) == 10
@@ -145,14 +146,15 @@ class TestQuery:
 
     def test_empty_inbox(self):
         pop = make_pop()
-        none = Messages(ids(), ids())
+        none = Messages(ids(), ids(), rnd=ids())
         plan = query_compute(pop, none, draws(pop, 5, 0, "query", ids(0)), np.ones(4))
         assert len(plan) == 0
 
     def test_perfect_worker_all_correct(self):
         pop = make_pop(64)
         active = np.arange(5)
-        requests = Messages(active, np.zeros(5, dtype=np.int64))
+        requests = Messages(active, np.zeros(5, dtype=np.int64),
+                            rnd=np.zeros(5, dtype=np.int64))
         plan = query_compute(pop, requests, draws(pop, 5, 0, "query", active),
                              np.ones(64))
         assert plan.dst.tolist() == list(range(5))
@@ -161,12 +163,16 @@ class TestQuery:
 
 class TestResponse:
     def _receive(self, answer):
+        # Processor 1 asks 2 in round 0; the engine records the outcome and
+        # gives 1 its own record.
         pool, pop = make_pool(), make_pop()
-        pop.target[1] = 2
-        responses = (Messages(ids(), ids(), correct=np.zeros(0, dtype=bool))
+        requests = Messages(ids(1), ids(2), rnd=ids(0))
+        responses = (Messages(ids(), ids(), correct=np.zeros(0, dtype=bool), rnd=ids())
                      if answer is None else
-                     Messages(ids(2), ids(1), correct=np.array([answer])))
-        res = response_receive(pop, ids(1), responses, pool, 0)
+                     Messages(ids(2), ids(1), correct=np.array([answer]), rnd=ids(0)))
+        res = response_receive(pop, requests, responses)
+        pool.add_records(requests.src, requests.rnd, requests.dst, res)
+        pop.known[1, 1] = 0
         return pool, pop, res
 
     def test_correct_response_recorded(self):

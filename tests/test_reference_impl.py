@@ -9,6 +9,7 @@ and the final per-target record sets.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from relsim.adversary import (
 )
 from relsim.engine import RunConfig, run
 from relsim.estimator import UNDETERMINED, EstimationParams
+from relsim.protocol import Population
 
 from straightline import run_reference
 
@@ -78,6 +80,58 @@ CASES = [
 @pytest.mark.parametrize("config", CASES, ids=lambda c: f"n{c.n}-seed{c.seed}")
 def test_engine_matches_straightline(config):
     assert_equivalent(config)
+
+
+Q = EstimationParams(0.8, 0.4)
+# Runs at the edges of a block: until the pool settles globally the engine
+# steps a block of rounds at once, which ends at its draw window's end, at
+# the round cap or at the first round with no live worker, and before the
+# round whose records settle the pool.
+BLOCK_EDGES = {
+    # Crashes in rounds 0, 2, 6, 12 and 13 of a block that round 35 cuts.
+    "spread-crashes": RunConfig(n=12, params=Q, model=LinearFraction(0.5),
+                                crash_pattern=SpreadCrashes(20), seed=3),
+    # The cap ends the first block, with crashes in it, before settlement.
+    "round-cap": RunConfig(n=10, params=Q, model=FractionalPolynomial(0.5),
+                           crash_pattern=SpreadCrashes(40), seed=8, max_rounds=30),
+    # Nobody survives: the last crash, in round 14, ends the first block.
+    "all-crash": RunConfig(n=6, params=Q, model=FractionalPolynomial(0.5, 1e-12),
+                           crash_pattern=SpreadCrashes(15), seed=2),
+    # The first window spans rounds 0-80 and round 81, the first of the
+    # next, settles the pool.
+    "settles-first": RunConfig(n=25, params=EstimationParams(0.5, 0.1), seed=8,
+                               max_rounds=200),
+    "n1": RunConfig(n=1, params=EstimationParams(0.5, 0.1), seed=9),
+    "n1-crash": RunConfig(n=1, params=Q, model=PolyLog(1.0),
+                          crash_pattern=SpreadCrashes(6), seed=4),
+    # A cap above 32767 keeps the knowledge matrix int32.
+    "int32-known": RunConfig(n=5, params=Q, seed=1, max_rounds=40000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_EDGES))
+def test_block_edges_match_straightline(name):
+    assert_equivalent(BLOCK_EDGES[name])
+    run(BLOCK_EDGES[name], check_invariants=True)
+
+
+def test_block_edge_cases_reach_their_edges():
+    result = run(BLOCK_EDGES["round-cap"], keep_states=True)
+    assert result.completion == "round_cap_hit"
+    assert not result.pool.globally_estimable()
+    assert set(result.schedule.crash_round.values()) & set(range(30))
+    result = run(BLOCK_EDGES["all-crash"])
+    assert result.schedule.survivors(6) == 0
+    assert result.metrics.rounds_to_all_halt == max(result.schedule.crash_round.values())
+
+
+def test_knowledge_matrix_width_follows_round_cap():
+    # Rounds below the cap are stored, so a cap of 32768 still fits int16.
+    assert run(BLOCK_EDGES["int32-known"], keep_states=True).known.dtype == np.int32
+    assert run(BLOCK_EDGES["n1"], keep_states=True).known.dtype == np.int16
+    assert Population.start(2, {}, 32768).known.dtype == np.int16
+    assert Population.start(2, {}, 32769).known.dtype == np.int32
+    assert Population.start(2, {}).known.dtype == np.int32
 
 
 @pytest.mark.parametrize("seed", range(8))

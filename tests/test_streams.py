@@ -172,3 +172,52 @@ def test_window_decoded_draws_match_raw_words(n):
         want = stage_draws(n, pids, rnd, "query").serve(rows, requesters, cap, p)
         for a, b in zip(got, want):
             assert a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("n", [3, 64, HUGE_N])
+def test_block_of_rounds_matches_each_round(n):
+    # One stage for (round, processor) pairs over several rounds of one
+    # window, the live set shrinking between them, equals each round's
+    # draws; re-keyed rows (Lemire rejections at HUGE_N, fan-outs past one
+    # block, serving past the cap) use their own round.
+    everyone = np.arange(min(n, 40))
+    live = {2: everyone, 3: everyone, 4: everyone[everyone % 3 != 1], 5: everyone[::4]}
+    rnd = np.concatenate([np.full(p.size, r) for r, p in live.items()])
+    pids = np.concatenate(list(live.values()))
+    window = StreamWindow(SEED, n, last_round=40)
+    assert window.reach(2, everyone) == 40
+    for stage in ("query", "gossip"):
+        got = window.stage(rnd, stage, pids)
+        want = [stage_draws(n, p, r, stage) for r, p in live.items()]
+        assert np.array_equal(got.words, np.concatenate([w.words for w in want]))
+        assert got.index().tolist() == sum((w.index().tolist() for w in want), [])
+        assert got.rows(rnd[::-1], pids[::-1]).tolist() == list(range(pids.size))[::-1]
+        k = np.array([1, 9, 20])[np.arange(pids.size) % 3]
+        rows, values = got.fanout(np.arange(pids.size), k)
+        at = 0
+        for w in want:
+            size = w.pids.size
+            mine = (rows >= at) & (rows < at + size)
+            want_rows, want_values = w.fanout(np.arange(size), k[at:at + size])
+            assert (rows[mine] - at).tolist() == want_rows.tolist()
+            assert values[mine].tolist() == want_values.tolist()
+            at += size
+    # Up to 5 requests per server in each round, more than the cap of 2.
+    got = window.stage(rnd, "query", pids)
+    count = np.arange(pids.size) % 5 + 1
+    requesters = np.concatenate([np.arange(c) * 7 + i for i, c in enumerate(count)])
+    p = np.linspace(0.1, 0.9, pids.size).repeat(count)
+    served, rows, correct = got.serve(np.arange(pids.size).repeat(count), requesters,
+                                      2, p)
+    at = 0
+    for r, live_pids in live.items():
+        w = stage_draws(n, live_pids, r, "query")
+        size = live_pids.size
+        mine = (rows >= at) & (rows < at + size)
+        lo, hi = count[:at].sum(), count[:at + size].sum()
+        expect = w.serve(np.arange(size).repeat(count[at:at + size]),
+                         requesters[lo:hi], 2, p[lo:hi])
+        assert served[mine].tolist() == expect[0].tolist()
+        assert (rows[mine] - at).tolist() == expect[1].tolist()
+        assert correct[mine].tolist() == expect[2].tolist()
+        at += size
