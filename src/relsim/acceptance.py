@@ -8,6 +8,7 @@ and headless.
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -291,31 +292,43 @@ def criterion_6() -> CriterionResult:
         f"T(4096)/T(256)={ratio:.2f} in [2, {envelope_hi:.0f}]")
 
 
+_KIND_FIELD = '"kind":"'
+_PARSED_KINDS = ("send", "halt", "enlighten")
+
+
 def _check_trace_invariants(result) -> list[str]:
-    """Trace-level invariant violations for one traced run."""
+    """Trace-level invariant violations for one traced run.
+
+    Each line's kind is read from its kind field, which follows the id in
+    every line; only send, halt and enlighten lines are parsed, and receive
+    and drop lines are counted.
+    """
     problems = []
-    trace = result.trace
     halt_round = {}
     enlighten_round = {}
     sends = receives = drops = 0
-    for ev in trace.events:
-        if ev.kind == "halt":
-            halt_round[ev.id] = ev.round
-        elif ev.kind == "enlighten":
-            enlighten_round.setdefault(ev.id, ev.round)
-        elif ev.kind == "send":
+    for line in result.trace.lines:
+        at = line.index(_KIND_FIELD) + len(_KIND_FIELD)
+        kind = line[at:line.index('"', at)]
+        if kind not in _PARSED_KINDS:
+            receives += kind == "receive"
+            drops += kind == "drop"
+            continue
+        ev = json.loads(line)
+        pid = ev["id"]
+        if kind == "halt":
+            halt_round[pid] = ev["round"]
+        elif kind == "enlighten":
+            enlighten_round.setdefault(pid, ev["round"])
+        elif kind == "send":
             sends += 1
-            if ev.id in halt_round and ev.round > halt_round[ev.id]:
-                problems.append(f"processor {ev.id} sent after halting")
-            if ev.payload["type"] == "share" and ev.payload["ell"] != 0:
-                problems.append(f"share with nonzero level from {ev.id}")
-            if ev.payload["type"] == "profess":
-                if ev.id not in enlighten_round or ev.round < enlighten_round[ev.id]:
-                    problems.append(f"profess from unenlightened {ev.id}")
-        elif ev.kind == "receive":
-            receives += 1
-        elif ev.kind == "drop":
-            drops += 1
+            if pid in halt_round and ev["round"] > halt_round[pid]:
+                problems.append(f"processor {pid} sent after halting")
+            if ev["type"] == "share" and ev["ell"] != 0:
+                problems.append(f"share with nonzero level from {pid}")
+            if ev["type"] == "profess":
+                if pid not in enlighten_round or ev["round"] < enlighten_round[pid]:
+                    problems.append(f"profess from unenlightened {pid}")
     m = result.metrics
     if sends != m.messages_total:
         problems.append(f"trace sends {sends} != messages_total {m.messages_total}")
@@ -363,7 +376,7 @@ def criterion_7() -> CriterionResult:
             f"trial {trial}: {p}" for p in _check_trace_invariants(result)
         )
         again = engine.run(config, collect_trace=True)
-        if result.trace.lines != again.trace.lines:
+        if result.trace.text != again.trace.text:
             problems.append(f"trial {trial}: replay trace mismatch")
         if len(problems) > 5:
             break

@@ -261,10 +261,16 @@ def run(
     config: RunConfig,
     collect_trace: bool = False,
     trace_kinds=None,
+    trace_sink=None,
     check_invariants: bool = False,
     keep_states: bool = False,
 ) -> RunResult:
     """Execute one simulation to completion or the round cap.
+
+    ``collect_trace`` keeps the trace's rendered chunks in the result's
+    ``TraceCollector``; ``trace_sink``, a callable taking each chunk as it is
+    emitted, traces the run without keeping it.  ``trace_kinds`` filters
+    either by event kind.
 
     ``check_invariants`` makes the engine assert per-round state invariants
     (knowledge monotonicity, level 0 while unenlightened); intended for
@@ -285,7 +291,8 @@ def run(
     pool = RecordPool(n, gamma1(config.params))
     pop = Population.start(n, schedule.crash_round, max_rounds)
     metrics = RunMetrics(per_processor_halt_round=[None] * n)
-    trace = TraceCollector(trace_kinds) if collect_trace else None
+    tracing = collect_trace or trace_sink is not None
+    trace = TraceCollector(trace_kinds, trace_sink) if tracing else None
     window = StreamWindow(seed, n, max_rounds)
     p = truth.p
 

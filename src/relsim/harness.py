@@ -221,23 +221,40 @@ def summarize(result: RunResult, dump_estimates: bool = False) -> dict:
     return summary
 
 
-def _trace_header(result: RunResult) -> str:
-    kinds = result.trace.kinds
+def _trace_header(config: RunConfig, kinds) -> str:
+    """The header line (config + filters) that starts a trace file."""
     return json.dumps({
         "kind": "header",
         "v": SCHEMA_VERSION,
-        "config": result.config.to_dict(),
+        "config": config.to_dict(),
         "trace_kinds": sorted(kinds) if kinds is not None else None,
-    }, separators=(",", ":"))
+    }, separators=(",", ":")) + "\n"
 
 
 def write_trace(result: RunResult, path: Path) -> None:
-    """Write the header (config + filters) and one line per event."""
-    Path(path).write_text(render_trace(result))
+    """Write the header and the held trace's chunks."""
+    with open(path, "w", encoding="utf-8", newline="") as sink:
+        sink.write(_trace_header(result.config, result.trace.kinds))
+        sink.writelines(result.trace.chunks)
 
 
 def render_trace(result: RunResult) -> str:
-    return "\n".join([_trace_header(result), *result.trace.lines]) + "\n"
+    """The text that :func:`write_trace` writes."""
+    return "".join([_trace_header(result.config, result.trace.kinds),
+                    *result.trace.chunks])
+
+
+class _SameAs:
+    """A trace sink that compares each chunk with the next bytes of a file."""
+
+    def __init__(self, source):
+        self.source = source
+        self.same = True
+
+    def __call__(self, chunk: str) -> None:
+        if self.same:
+            data = chunk.encode()
+            self.same = self.source.read(len(data)) == data
 
 
 # --- sweep ---------------------------------------------------------------------
@@ -332,15 +349,17 @@ def _cmd_run(args) -> int:
     trace_kinds = _trace_kinds(
         args.trace_kinds.split(",") if args.trace_kinds else None
     )
-    result = engine.run(config, collect_trace=args.trace is not None,
-                        trace_kinds=trace_kinds)
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8", newline="") as sink:
+            sink.write(_trace_header(config, trace_kinds))
+            result = engine.run(config, trace_kinds=trace_kinds, trace_sink=sink.write)
+    else:
+        result = engine.run(config)
     summary = summarize(result, dump_estimates=args.dump_estimates)
     text = json.dumps(summary, indent=2)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "run_summary.json").write_text(text + "\n")
-    if args.trace:
-        write_trace(result, args.trace)
     print(text)
     if result.completion == "round_cap_hit":
         rounds = result.metrics.rounds_to_all_halt
@@ -393,20 +412,27 @@ def _cmd_verify(args) -> int:
 
 def _cmd_replay(args) -> int:
     try:
-        original = Path(args.trace).read_text()
-        header = json.loads(original.partition("\n")[0])
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise UsageError(f"{args.trace} does not start with a trace header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("kind") != "header":
-        raise UsageError(f"{args.trace} does not start with a trace header")
-    if header.get("v") != SCHEMA_VERSION:
-        raise UsageError(f"{args.trace} has trace schema version {header.get('v')!r}; "
-                         f"this relsim reads version {SCHEMA_VERSION}")
-    config = RunConfig.from_dict(header.get("config"))
-    kinds = _trace_kinds(header.get("trace_kinds"))
-    result = engine.run(config, collect_trace=True, trace_kinds=kinds)
-    regenerated = render_trace(result)
-    if regenerated == original:
+        source = open(args.trace, "rb")
+    except OSError as exc:
+        raise UsageError(f"cannot read trace file {args.trace}: {exc}") from exc
+    with source:
+        first = source.readline()
+        try:
+            header = json.loads(first)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise UsageError(f"{args.trace} does not start with a trace header: {exc}") from exc
+        if not isinstance(header, dict) or header.get("kind") != "header":
+            raise UsageError(f"{args.trace} does not start with a trace header")
+        if header.get("v") != SCHEMA_VERSION:
+            raise UsageError(f"{args.trace} has trace schema version {header.get('v')!r}; "
+                             f"this relsim reads version {SCHEMA_VERSION}")
+        config = RunConfig.from_dict(header.get("config"))
+        kinds = _trace_kinds(header.get("trace_kinds"))
+        rest = _SameAs(source)
+        engine.run(config, trace_kinds=kinds, trace_sink=rest)
+        same = (first == _trace_header(config, kinds).encode()
+                and rest.same and not source.read(1))
+    if same:
         print("replay OK: trace is byte-identical")
         return 0
     print("replay MISMATCH: regenerated trace differs")

@@ -71,6 +71,25 @@ def traced_configs(draw):
     )
 
 
+def _flip_middle_byte(data: bytes) -> bytes:
+    mid = len(data) // 2
+    return data[:mid] + bytes([data[mid] ^ 1]) + data[mid + 1:]
+
+
+def _respace_header(data: bytes) -> bytes:
+    header, _, rest = data.partition(b"\n")
+    return json.dumps(json.loads(header)).encode() + b"\n" + rest
+
+
+# Edits of a trace file that replay must report as a mismatch.
+TRACE_EDITS = {
+    "byte-changed": _flip_middle_byte,
+    "last-line-removed": lambda data: data[:data.rindex(b"\n", 0, -1) + 1],
+    "line-appended": lambda data: data + data[data.rindex(b"\n", 0, -1) + 1:],
+    "header-respaced": _respace_header,
+}
+
+
 class TestCliRun:
     def test_run_emits_summary_json(self, tmp_path, capsys):
         code = main([
@@ -247,6 +266,60 @@ class TestTraceArtifacts:
         trace.emit(2, "gossip", "compute", "halt", [3])
         assert trace.lines == ['{"v":1,"seq":0,"round":2,"stage":"gossip",'
                                '"step":"compute","id":3,"kind":"halt"}']
+
+    @pytest.mark.parametrize("kinds", [None, ["crash", "halt", "send"]])
+    def test_emit_matches_reference_renderer_at_edge_values(self, kinds):
+        # Around each digit boundary and the digit table's limit (2**16).
+        edges = [0, 9, 10, 99, 100, 65535, 65536, 2**30 - 1]
+        trace = TraceCollector(kinds)
+        expected = []
+
+        def emit(rnd, stage, step, kind, ids, **columns):
+            trace.emit(rnd, stage, step, kind, ids, **columns)
+            if kinds is None or kind in kinds:
+                expected.extend(reference_line({
+                    "v": SCHEMA_VERSION, "seq": len(expected), "round": rnd,
+                    "stage": stage, "step": step, "id": pid, "kind": kind,
+                    **{key: col[i] for key, col in columns.items()}})
+                    for i, pid in enumerate(ids))
+
+        for value in edges:
+            emit(value, "gossip", "compute", "halt", [value])
+        emit(3, "gossip", "send", "send", edges, type=["share", "profess"] * 4,
+             to=edges[::-1], ell=edges)
+        emit(4, "query", "receive", "drop", edges, type=["task_request"] * 8,
+             reason=["crashed", "halted"] * 4)
+        emit(5, "gossip", "receive", "receive", [7], type=["share"])
+        # 100 lines whose seq crosses 99 -> 100, with or without the filter.
+        emit(6, "query", "send", "crash", list(range(100)))
+        assert trace.lines == expected
+        assert trace.text == "".join(line + "\n" for line in expected)
+
+    @pytest.mark.parametrize("kinds", [None, "halt,send"])
+    def test_run_trace_file_matches_render_trace(self, tmp_path, kinds, capsys):
+        path = tmp_path / "run.trace"
+        flags = [] if kinds is None else ["--trace-kinds", kinds]
+        assert main(["run", "--n", "8", "--seed", "5", "--trace", str(path), *flags]) == 0
+        config = RunConfig.from_dict(json.loads(capsys.readouterr().out)["config"])
+        result = run(config, collect_trace=True,
+                     trace_kinds=None if kinds is None else kinds.split(","))
+        assert path.read_bytes() == render_trace(result).encode()
+
+    @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "8", "--epsilon", "1.5"]])
+    def test_rejected_run_leaves_no_trace_file(self, tmp_path, flags, capsys):
+        path = tmp_path / "run.trace"
+        assert main(["run", *flags, "--trace", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("edit", sorted(TRACE_EDITS))
+    def test_replay_of_edited_trace_is_mismatch(self, tmp_path, edit, capsys):
+        path = tmp_path / "run.trace"
+        assert main(["run", "--n", "8", "--seed", "5", "--trace", str(path)]) == 0
+        capsys.readouterr()
+        path.write_bytes(TRACE_EDITS[edit](path.read_bytes()))
+        assert main(["replay", "--trace", str(path)]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
 
 
 class TestSweep:
@@ -512,3 +585,4 @@ class TestInputFaults:
         assert main(["run", "--n", "4", "--trace", str(path),
                      "--trace-kinds", "halt,bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
+        assert not path.exists()
