@@ -8,10 +8,11 @@ and headless.
 
 from __future__ import annotations
 
-import json
+import hashlib
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,6 +37,7 @@ from .estimator import (
     sra_run,
 )
 from .metrics import accuracy, scaling_fit
+from .trace import CODES, EVENT_KINDS, Batch
 
 _POOL_WORKERS = 2
 
@@ -46,6 +48,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0  # wall time, set by run_criteria
 
 
 def _bernoulli_stream(rng: np.random.Generator, p: float, block: int = 8192):
@@ -292,51 +295,50 @@ def criterion_6() -> CriterionResult:
         f"T(4096)/T(256)={ratio:.2f} in [2, {envelope_hi:.0f}]")
 
 
-_KIND_FIELD = '"kind":"'
-_PARSED_KINDS = ("send", "halt", "enlighten")
+_SHARE, _PROFESS = CODES.index("share"), CODES.index("profess")
+_NEVER = np.iinfo(np.int64).max
+_SEND_PROBLEMS = ("processor {} sent after halting", "share with nonzero level from {}",
+                  "profess from unenlightened {}")
 
 
-def _check_trace_invariants(result) -> list[str]:
-    """Trace-level invariant violations for one traced run.
+class TraceChecker:
+    """Trace-level invariants of one run, checked as a batch sink while it streams:
+    per processor, its halt round and first enlighten round; lines by kind."""
 
-    Each line's kind is read from its kind field, which follows the id in
-    every line; only send, halt and enlighten lines are parsed, and receive
-    and drop lines are counted.
-    """
-    problems = []
-    halt_round = {}
-    enlighten_round = {}
-    sends = receives = drops = 0
-    for line in result.trace.lines:
-        at = line.index(_KIND_FIELD) + len(_KIND_FIELD)
-        kind = line[at:line.index('"', at)]
-        if kind not in _PARSED_KINDS:
-            receives += kind == "receive"
-            drops += kind == "drop"
-            continue
-        ev = json.loads(line)
-        pid = ev["id"]
+    def __init__(self, n: int):
+        self.halt_round = np.full(n, _NEVER)
+        self.enlighten_round = np.full(n, _NEVER)
+        self.lines = dict.fromkeys(EVENT_KINDS, 0)
+        self.found: list[str] = []
+
+    def __call__(self, batch: Batch) -> None:
+        kind, ids, rnd = batch.kind, batch.ids, batch.round
+        self.lines[kind] += len(ids)
         if kind == "halt":
-            halt_round[pid] = ev["round"]
+            self.halt_round[ids] = rnd
         elif kind == "enlighten":
-            enlighten_round.setdefault(pid, ev["round"])
+            self.enlighten_round[ids[self.enlighten_round[ids] == _NEVER]] = rnd
         elif kind == "send":
-            sends += 1
-            if pid in halt_round and ev["round"] > halt_round[pid]:
-                problems.append(f"processor {pid} sent after halting")
-            if ev["type"] == "share" and ev["ell"] != 0:
-                problems.append(f"share with nonzero level from {pid}")
-            if ev["type"] == "profess":
-                if pid not in enlighten_round or ev["round"] < enlighten_round[pid]:
-                    problems.append(f"profess from unenlightened {pid}")
-    m = result.metrics
-    if sends != m.messages_total:
-        problems.append(f"trace sends {sends} != messages_total {m.messages_total}")
-    if receives != m.delivered or drops != m.dropped_to_crashed + m.dropped_to_halted:
-        problems.append("trace routing counts disagree with metrics ledger")
-    if not m.conservation_ok():
-        problems.append("metrics conservation ledger unbalanced")
-    return problems
+            types = batch.columns["type"]
+            checks = (self.halt_round[ids] < rnd,
+                      (types == _SHARE) & (batch.columns.get("ell", 0) != 0),
+                      (types == _PROFESS) & (self.enlighten_round[ids] > rnd))
+            for i in np.flatnonzero(checks[0] | checks[1] | checks[2]).tolist():
+                self.found.extend(
+                    text.format(ids[i]) for text, check in zip(_SEND_PROBLEMS, checks)
+                    if np.broadcast_to(check, ids.shape)[i])
+
+    def problems(self, m) -> list[str]:
+        """The violations found, then any disagreement with metrics ``m``."""
+        problems = list(self.found)
+        sends, receives, drops = (self.lines[kind] for kind in ("send", "receive", "drop"))
+        if sends != m.messages_total:
+            problems.append(f"trace sends {sends} != messages_total {m.messages_total}")
+        if receives != m.delivered or drops != m.dropped_to_crashed + m.dropped_to_halted:
+            problems.append("trace routing counts disagree with metrics ledger")
+        if not m.conservation_ok():
+            problems.append("metrics conservation ledger unbalanced")
+        return problems
 
 
 def criterion_7() -> CriterionResult:
@@ -370,13 +372,15 @@ def criterion_7() -> CriterionResult:
             reliability=UniformReliability(0.2, 1.0),
             seed=int(rng.integers(0, 2**32)),
         )
-        result = engine.run(config, collect_trace=True, check_invariants=True)
+        # Each run's text goes to a sha256 as it streams, the first run's
+        # batches to the checker.
+        checker, first, again = TraceChecker(n), hashlib.sha256(), hashlib.sha256()
+        result = engine.run(config, trace_sink=lambda text: first.update(text.encode()),
+                            batch_sink=checker, check_invariants=True)
         completions[result.completion] += 1
-        problems.extend(
-            f"trial {trial}: {p}" for p in _check_trace_invariants(result)
-        )
-        again = engine.run(config, collect_trace=True)
-        if result.trace.text != again.trace.text:
+        problems.extend(f"trial {trial}: {p}" for p in checker.problems(result.metrics))
+        engine.run(config, trace_sink=lambda text: again.update(text.encode()))
+        if first.digest() != again.digest():
             problems.append(f"trial {trial}: replay trace mismatch")
         if len(problems) > 5:
             break
@@ -438,4 +442,8 @@ CRITERIA: dict[int, Callable[[], CriterionResult]] = {
 
 def run_criteria(only: Optional[list[int]] = None) -> list[CriterionResult]:
     numbers = sorted(set(only)) if only else sorted(CRITERIA)
-    return [CRITERIA[k]() for k in numbers]
+    results = []
+    for k in numbers:
+        start = time.perf_counter()
+        results.append(replace(CRITERIA[k](), seconds=time.perf_counter() - start))
+    return results

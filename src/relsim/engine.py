@@ -53,7 +53,7 @@ from .knowledge import RecordPool
 from .metrics import RunMetrics
 from .protocol import NO_MESSAGES, Messages, Population, ceil_log2
 from .streams import SEED_LIMIT, StreamWindow, rng_stream
-from .trace import TraceCollector
+from .trace import CODES, TraceCollector
 
 
 # Reserved stream lanes for pre-run adversary draws; protocol stages use 0-2.
@@ -262,15 +262,16 @@ def run(
     collect_trace: bool = False,
     trace_kinds=None,
     trace_sink=None,
+    batch_sink=None,
     check_invariants: bool = False,
     keep_states: bool = False,
 ) -> RunResult:
     """Execute one simulation to completion or the round cap.
 
     ``collect_trace`` keeps the trace's rendered chunks in the result's
-    ``TraceCollector``; ``trace_sink``, a callable taking each chunk as it is
-    emitted, traces the run without keeping it.  ``trace_kinds`` filters
-    either by event kind.
+    ``TraceCollector``.  ``trace_sink``, a callable taking each chunk as it
+    is emitted, and ``batch_sink``, one taking each :class:`.trace.Batch`,
+    trace the run without keeping it.  ``trace_kinds`` filters by event kind.
 
     ``check_invariants`` makes the engine assert per-round state invariants
     (knowledge monotonicity, level 0 while unenlightened); intended for
@@ -291,8 +292,8 @@ def run(
     pool = RecordPool(n, gamma1(config.params))
     pop = Population.start(n, schedule.crash_round, max_rounds)
     metrics = RunMetrics(per_processor_halt_round=[None] * n)
-    tracing = collect_trace or trace_sink is not None
-    trace = TraceCollector(trace_kinds, trace_sink) if tracing else None
+    tracing = collect_trace or trace_sink is not None or batch_sink is not None
+    trace = TraceCollector(trace_kinds, trace_sink, batch_sink) if tracing else None
     window = StreamWindow(seed, n, max_rounds)
     p = truth.p
 
@@ -384,7 +385,8 @@ def run(
         edges = np.arange(rnd, end + 1)
         if trace is not None:
             traced = zip(*(_by_round(m, edges) for m in (
-                received, request_drops, responses, gossip, inbox, gossip_drops)))
+                requests, received, request_drops, responses, gossip, inbox,
+                gossip_drops)))
             nobody = active[:0]
         cuts = requests.rnd.searchsorted(edges).tolist()
         for r, lo, hi, merged in zip(range(rnd, end), cuts, cuts[1:],
@@ -393,8 +395,7 @@ def run(
             if trace is not None:
                 events = ((flipped, enlightened_now, level_reset) if r == rnd
                           else (nobody,) * 3)
-                _trace_round(r, requests.take(slice(lo, hi)), *next(traced), *events,
-                             pop, trace)
+                _trace_round(r, *next(traced), *events, pop, trace)
             if check_invariants:
                 known_before = pop.known[acting]
             pop.known[acting, acting] = r
@@ -402,7 +403,7 @@ def run(
             for pid in halted.tolist():
                 metrics.per_processor_halt_round[pid] = r
             if trace is not None:
-                trace.emit(r, "gossip", "compute", "halt", halted.tolist())
+                trace.emit(r, "gossip", "compute", "halt", halted)
             if check_invariants:
                 assert np.all(pop.known[acting] >= known_before), (
                     f"knowledge shrank in round {r}"
@@ -428,6 +429,8 @@ def run(
 
 def _by_round(messages: Messages, edges: np.ndarray) -> list[Messages]:
     """A set of messages ordered by round, split at the rounds ``edges``."""
+    if len(edges) == 2:  # all of them are in the one round
+        return [messages]
     cuts = messages.rnd.searchsorted(edges).tolist()
     return [messages.take(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
 
@@ -435,12 +438,15 @@ def _by_round(messages: Messages, edges: np.ndarray) -> list[Messages]:
 def _trace_round(rnd, requests, received, request_drops, responses, gossip, inbox,
                  gossip_drops, flipped, enlightened_now, level_reset, pop, trace):
     """Trace one round's steps up to its gossip compute step."""
-    trace.emit(rnd, "query", "send", "crash",
-               np.flatnonzero(pop.crash_round == rnd).tolist())
+    trace.emit(rnd, "query", "send", "crash", np.flatnonzero(pop.crash_round == rnd))
     _trace_route(requests, received, request_drops, "query", pop, rnd, trace)
     _trace_route(responses, responses, NO_MESSAGES, "response", pop, rnd, trace)
-    trace.emit(rnd, "response", "compute", "enlighten", flipped.tolist())
+    trace.emit(rnd, "response", "compute", "enlighten", flipped)
     _trace_route(gossip, inbox, gossip_drops, "gossip", pop, rnd, trace)
+    if not level_reset.size:
+        return trace.emit(rnd, "gossip", "receive", "enlighten", enlightened_now)
+    if not enlightened_now.size:
+        return trace.emit(rnd, "gossip", "receive", "ell_reset", level_reset)
     # The two kinds interleave in id order, enlighten first on a tie; each
     # run of one kind is one batch.
     ids = np.concatenate([enlightened_now, level_reset])
@@ -449,30 +455,31 @@ def _trace_round(rnd, requests, received, request_drops, responses, gossip, inbo
     cuts = np.flatnonzero(np.diff(is_reset)) + 1
     for part, resets in zip(np.split(ids[order], cuts), np.split(is_reset, cuts)):
         trace.emit(rnd, "gossip", "receive",
-                   "ell_reset" if resets.any() else "enlighten", part.tolist())
+                   "ell_reset" if resets[0] else "enlighten", part)
 
 
-_TASK_KIND = {"query": "task_request", "response": "task_response"}
+_TASK_TYPE = {"query": CODES.index("task_request"), "response": CODES.index("task_response")}
+_SHARE = CODES.index("share")  # and profess is the code after it
+_HALTED = CODES.index("halted")  # and crashed is the code before it
 
 
-def _kinds(messages: Messages, stage: str) -> list[str]:
+def _types(messages: Messages, stage: str, index=slice(None)):
+    """Type codes of ``messages[index]``: one per gossip message, or one."""
     if stage == "gossip":
-        return np.where(messages.is_profess, "profess", "share").tolist()
-    return [_TASK_KIND[stage]] * len(messages)
+        return messages.is_profess[index] + _SHARE
+    return _TASK_TYPE[stage]
 
 
 def _trace_route(sent, delivered, dropped, stage, pop, rnd, trace) -> None:
     """Trace one step's sends in send order, its drops in send order and its
     receives by destination."""
-    payload = {"type": _kinds(sent, stage), "to": sent.dst.tolist()}
-    if stage == "gossip":
-        payload["ell"] = sent.level.tolist()
-    trace.emit(rnd, stage, "send", "send", sent.src.tolist(), **payload)
+    trace.emit(rnd, stage, "send", "send", sent.src, type=_types(sent, stage), to=sent.dst,
+               **({"ell": sent.level} if stage == "gossip" else {}))
     if len(dropped):
         crashed = pop.crash_round[dropped.dst] <= rnd
-        trace.emit(rnd, stage, "receive", "drop", dropped.dst.tolist(),
-                   type=_kinds(dropped, stage),
-                   reason=np.where(crashed, "crashed", "halted").tolist())
-    by_dst = delivered.take(np.argsort(delivered.dst, kind="stable"))
-    trace.emit(rnd, stage, "receive", "receive", by_dst.dst.tolist(),
-               type=_kinds(by_dst, stage))
+        trace.emit(rnd, stage, "receive", "drop", dropped.dst,
+                   type=_types(dropped, stage), reason=_HALTED - crashed)
+    by_dst = (delivered.dst.argsort(kind="stable") if len(delivered) > 1
+              else slice(None))
+    trace.emit(rnd, stage, "receive", "receive", delivered.dst[by_dst],
+               type=_types(delivered, stage, by_dst))

@@ -177,6 +177,16 @@ def config_from_args(args) -> RunConfig:
     return config
 
 
+def _output(path: Path, make_parent: bool = False):
+    """``path`` opened for writing; one that cannot be written is a usage error."""
+    try:
+        if make_parent:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _trace_kinds(kinds) -> Optional[list[str]]:
     if kinds is not None and (not isinstance(kinds, list)
                               or set(kinds) - set(EVENT_KINDS)):
@@ -349,8 +359,11 @@ def _cmd_run(args) -> int:
     trace_kinds = _trace_kinds(
         args.trace_kinds.split(",") if args.trace_kinds else None
     )
+    # Every output is created before the run, so a bad path fails at once.
+    if args.out:
+        _output(args.out / "run_summary.json", make_parent=True).close()
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="") as sink:
+        with _output(args.trace) as sink:
             sink.write(_trace_header(config, trace_kinds))
             result = engine.run(config, trace_kinds=trace_kinds, trace_sink=sink.write)
     else:
@@ -358,7 +371,6 @@ def _cmd_run(args) -> int:
     summary = summarize(result, dump_estimates=args.dump_estimates)
     text = json.dumps(summary, indent=2)
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "run_summary.json").write_text(text + "\n")
     print(text)
     if result.completion == "round_cap_hit":
@@ -381,10 +393,9 @@ def _cmd_sweep(args) -> int:
     args.n = grid[0]
     base = config_from_args(args)
     spec = ExperimentSpec(grid=grid, trials=args.trials, base=base, jobs=args.jobs)
-    rows = sweep(spec)
-    args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "sweep.csv"
-    write_sweep_csv(rows, path)
+    _output(path, make_parent=True).close()
+    write_sweep_csv(sweep(spec), path)
     print(str(path))
     return 0
 
@@ -405,7 +416,8 @@ def _cmd_verify(args) -> int:
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        print(f"{status}  criterion {res.number}: {res.name} -- {res.detail}")
+        print(f"{status}  criterion {res.number}: {res.name} -- {res.detail} "
+              f"({res.seconds:.1f} s)")
         failed += 0 if res.passed else 1
     return 1 if failed else 0
 

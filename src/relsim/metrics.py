@@ -96,36 +96,35 @@ def accuracy(run, truth, schedule, params) -> AccuracyReport:
             crashed[pid] = True
     live = ~crashed
 
-    n_within = 0
-    n_numeric_live = 0
-    tp = 0
-    fp = 0
-    undetermined = 0
-    observers = 0
-
-    for _pid, est in run.estimates.items():
-        observers += 1
-        is_undet = np.isnan(est)
-        is_crashmark = est == -1.0
-        numeric = ~(is_undet | is_crashmark)
-        undetermined += int(is_undet.sum())
-        tp += int((is_crashmark & crashed).sum())
-        fp += int((is_crashmark & live).sum())
-        numeric_live = numeric & live
-        n_numeric_live += int(numeric_live.sum())
-        within = numeric_live & (est >= lo) & (est <= hi)
-        n_within += int(within.sum())
-
-    fraction = n_within / n_numeric_live if n_numeric_live else 0.0
+    rows = list(run.estimates.values())
+    step = max(1, _SCORED_CELLS // n)
+    n_within, n_numeric_live, marks, fp, undetermined = (int(c) for c in sum(
+        (_score(np.array(rows[i:i + step]), live, lo, hi)
+         for i in range(0, len(rows), step)), np.zeros(5, dtype=np.int64)))
     return AccuracyReport(
-        fraction_within_band=fraction,
+        fraction_within_band=n_within / n_numeric_live if n_numeric_live else 0.0,
         n_within=n_within,
         n_numeric_live=n_numeric_live,
-        crash_true_positives=tp,
+        crash_true_positives=marks - fp,
         crash_false_positives=fp,
         undetermined=undetermined,
-        live_pairs=observers * int(live.sum()),
+        live_pairs=len(rows) * int(live.sum()),
     )
+
+
+# Most estimates scored at once: observer blocks bound large runs' temporaries.
+_SCORED_CELLS = 1 << 18
+
+
+def _score(est: np.ndarray, live: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Over a block of observers' estimate rows, the counts in band, numeric
+    about live targets, crash marks, crash marks on live targets, NaN."""
+    is_undet = np.isnan(est)
+    is_crashmark = est == -1.0
+    numeric_live = ~(is_undet | is_crashmark) & live
+    return np.array([np.count_nonzero(numeric_live & (est >= lo) & (est <= hi)),
+                     np.count_nonzero(numeric_live), np.count_nonzero(is_crashmark),
+                     np.count_nonzero(is_crashmark & live), np.count_nonzero(is_undet)])
 
 
 # --- growth-model fitting ------------------------------------------------------

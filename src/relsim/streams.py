@@ -83,14 +83,20 @@ def rng_stream(seed: int, pid: int, rnd: int, stage) -> np.random.Generator:
 
 
 def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Full 64x64 -> 128-bit product from 32-bit limbs.
+    # 64x64 -> 128-bit product: the low word wraps; the high one sums 32-bit limbs.
     a_lo, a_hi = a & _LO32, a >> _U32
-    b_lo, b_hi = b & _LO32, b >> _U32
-    lo_lo = a_lo * b_lo
-    hi_lo = a_hi * b_lo
-    cross = (lo_lo >> _U32) + (hi_lo & _LO32) + a_lo * b_hi
-    hi = a_hi * b_hi + (hi_lo >> _U32) + (cross >> _U32)
-    return hi, (cross << _U32) | (lo_lo & _LO32)
+    b_lo, hi = b & _LO32, b >> _U32
+    cross = a_lo * b_lo
+    cross >>= _U32
+    b_lo *= a_hi
+    cross += b_lo & _LO32
+    cross += a_lo * hi
+    cross >>= _U32
+    b_lo >>= _U32
+    hi *= a_hi
+    hi += b_lo
+    hi += cross
+    return hi, a * b
 
 
 def philox_first_block(seed: int, words: np.ndarray) -> np.ndarray:

@@ -11,59 +11,85 @@ events in id order.  seq numbers the kept events 0, 1, 2, ...  Traces are
 opt-in and filterable by event kind since profess storms emit a send event
 per point-to-point message.
 
-The engine emits events in batches of one kind.  Each batch is rendered
-once, into one newline-terminated text chunk, and handed to a sink: by
-default a list, which holds the trace in memory as its chunks, or any
-callable taking a string, such as a file's ``write``, which streams the
-trace and holds none of it.
+The engine emits events in batches of one kind, as a :class:`Batch` of
+arrays: ids, int columns, and message types and drop reasons as codes into
+:data:`CODES`.  A column of one value, given as such or found equal, is text
+of the line template, which one ``%`` formats for the whole batch.  A batch
+sink takes each Batch; a text sink (a file's ``write``, say) takes each
+batch rendered into a newline-terminated chunk, which happens only when one
+is attached.  With no sink of either kind, the chunks are held in a list.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
+
+import numpy as np
+
+from .metrics import MESSAGE_KINDS
 
 SCHEMA_VERSION = 1
 
 EVENT_KINDS = ("send", "receive", "enlighten", "ell_reset", "halt", "crash", "drop")
 
-# Ints from 0 to below this bound are rendered from a per-collector table of
-# digit strings; others, and any negative one, through str.
-_TABLE_LIMIT = 1 << 16
+# What coded columns index: the message types, then the drop reasons.
+CODES = (*MESSAGE_KINDS, "crashed", "halted")
+CODED_COLUMNS = frozenset({"type", "reason"})
+_QUOTED = [f'"{code}"' for code in CODES]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One trace line, parsed."""
+class Batch(NamedTuple):
+    """Trace lines seq, seq + 1, ... of one (round, stage, step, kind), one
+    per id.  Each payload column is an array with one value per id, or one
+    value for every line; ``type`` and ``reason`` hold codes into CODES."""
 
     seq: int
     round: int
     stage: str
     step: str
-    id: int
     kind: str
-    payload: dict
+    ids: np.ndarray
+    columns: dict
 
-    @staticmethod
-    def from_line(line: str) -> "TraceEvent":
-        record = json.loads(line)
-        del record["v"]
-        return TraceEvent(*(record.pop(key) for key in
-                            ("seq", "round", "stage", "step", "id", "kind")),
-                          payload=record)
+    def render(self) -> str:
+        """The batch's lines, each ending in a newline."""
+        m = len(self.ids)
+        template = [f'{{"v":{SCHEMA_VERSION},"seq":%d,"round":{self.round},'
+                    f'"stage":"{self.stage}","step":"{self.step}","id":%d,'
+                    f'"kind":"{self.kind}"']
+        columns = [range(self.seq, self.seq + m), self.ids.tolist()]
+        for key, col in self.columns.items():
+            values = col.tolist() if isinstance(col, np.ndarray) else [col]
+            first = values[0]
+            if values.count(first) == len(values):
+                template.append(f',"{key}":'
+                                f'{_QUOTED[first] if key in CODED_COLUMNS else int(first)}')
+            elif key in CODED_COLUMNS:
+                template.append(f',"{key}":%s')
+                columns.append([_QUOTED[code] for code in values])
+            else:
+                template.append(f',"{key}":%d')
+                columns.append(values)
+        line = "".join(template) + "}\n"
+        # Line i's values are flat[i * width:(i + 1) * width].
+        width = len(columns)
+        flat = [None] * (width * m)
+        for j, col in enumerate(columns):
+            flat[j::width] = col
+        return (line * m) % tuple(flat)
 
 
 class TraceCollector:
-    """Renders event batches into text chunks for a sink, optionally
-    filtered by kind.
+    """Hands event batches to a batch sink and their rendered text chunks to
+    a text sink, optionally filtered by kind.
 
-    Without a sink, ``chunks`` holds the chunks in emission order; with one,
-    it is None and the chunks go only to the sink.
+    With neither sink, ``chunks`` holds the chunks in emission order;
+    otherwise it is None, and text is rendered only for a text sink.
     """
 
     def __init__(self, kinds: Optional[Iterable[str]] = None,
-                 sink: Optional[Callable[[str], object]] = None):
+                 sink: Optional[Callable[[str], object]] = None,
+                 batch_sink: Optional[Callable[[Batch], object]] = None):
         if kinds is not None:
             unknown = set(kinds) - set(EVENT_KINDS)
             if unknown:
@@ -71,10 +97,11 @@ class TraceCollector:
             self.kinds = frozenset(kinds)
         else:
             self.kinds = None
-        self.chunks: Optional[list[str]] = [] if sink is None else None
-        self._sink = self.chunks.append if sink is None else sink
+        self.chunks: Optional[list[str]] = (
+            [] if sink is None and batch_sink is None else None)
+        self._sink = self.chunks.append if self.chunks is not None else sink
+        self._batch_sink = batch_sink
         self._seq = 0
-        self._digits: list[str] = []
 
     @property
     def text(self) -> str:
@@ -85,45 +112,16 @@ class TraceCollector:
     def lines(self) -> list[str]:
         return self.text.splitlines()
 
-    @property
-    def events(self) -> list[TraceEvent]:
-        return [TraceEvent.from_line(line) for line in self.lines]
-
-    def _decimal(self, values: list) -> Iterable[str]:
-        """The decimal strings of a list of ints."""
-        top = max(values)
-        if top >= _TABLE_LIMIT or min(values) < 0:
-            return map(str, values)
-        digits = self._digits
-        if top >= len(digits):
-            digits.extend(map(str, range(len(digits), top + 1)))
-        return map(digits.__getitem__, values)
-
-    def emit(self, rnd: int, stage: str, step: str, kind: str, ids: list,
-             **columns: list):
-        """Render one line per id, in order, as one chunk for the sink; each
-        payload column holds one int or plain (unescaped) string per id."""
-        if not ids or (self.kinds is not None and kind not in self.kinds):
-            return
+    def emit(self, rnd: int, stage: str, step: str, kind: str, ids: np.ndarray,
+             **columns):
+        """One line per id, in order, as one batch; each payload column is an
+        int or code array with one value per id, or one int or code."""
         m = len(ids)
-        start = self._seq
+        if not m or (self.kinds is not None and kind not in self.kinds):
+            return
+        batch = Batch(self._seq, rnd, stage, step, kind, ids, columns)
         self._seq += m
-        # Line i is texts[0], values[0][i], texts[1], ..., values[-1][i],
-        # texts[-1]: the constant text around each value, then the values.
-        texts = [f'{{"v":{SCHEMA_VERSION},"seq":',
-                 f',"round":{rnd},"stage":"{stage}","step":"{step}","id":']
-        values = [map(str, range(start, self._seq)), self._decimal(ids)]
-        tail = f',"kind":"{kind}"'
-        for key, col in columns.items():
-            quote = '"' if isinstance(col[0], str) else ""
-            texts.append(f'{tail},"{key}":{quote}')
-            values.append(col if quote else self._decimal(col))
-            tail = quote
-        texts.append(tail + "}\n")
-        width = len(texts) + len(values)
-        parts = [None] * (width * m)
-        for j, text in enumerate(texts):
-            parts[2 * j::width] = [text] * m
-        for j, col in enumerate(values):
-            parts[2 * j + 1::width] = col
-        self._sink("".join(parts))
+        if self._batch_sink is not None:
+            self._batch_sink(batch)
+        if self._sink is not None:
+            self._sink(batch.render())

@@ -1,9 +1,10 @@
 """Acceptance suite: every shipped guarantee checked at its stated tolerance.
 
 Runs the same checks as ``relsim verify`` and prints one PASS/FAIL line per
-criterion (pytest -s shows them).  The growth-shape criteria run dozens of
-simulations up to n=4096 and take a few minutes; those (5-7) are marked
-``slow``, so ``pytest -m "not slow"`` is a quick inner loop.
+criterion (pytest -s shows them).  The growth-shape criteria (5 and 6) run
+dozens of simulations up to n=4096, and the protocol invariant suite (7)
+traces 200 randomized runs twice; those three are marked ``slow``, so
+``pytest -m "not slow"`` is a quick inner loop.
 """
 
 import pytest

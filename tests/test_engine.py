@@ -22,6 +22,7 @@ from relsim.estimator import EstimationParams, gamma1
 from relsim.metrics import RunMetrics
 from relsim.protocol import Messages, Population
 from relsim.streams import StreamWindow
+from trace_events import events
 
 PARAMS = EstimationParams(0.5, 0.1)
 
@@ -148,10 +149,10 @@ class TestRun:
         needed = math.ceil(gamma1(PARAMS))
         assert result.metrics.per_processor_halt_round == [needed - 1]
         assert result.estimates[0][0] == gamma1(PARAMS) / (needed - 1)
-        kinds = [(e.kind, e.round) for e in result.trace.events]
+        kinds = [(e.kind, e.round) for e in events(result.trace)]
         assert ("enlighten", needed - 1) in kinds
         assert ("halt", needed - 1) in kinds
-        profess_sends = [e for e in result.trace.events
+        profess_sends = [e for e in events(result.trace)
                          if e.kind == "send" and e.payload["type"] == "profess"]
         assert len(profess_sends) == 1
         assert profess_sends[0].payload["to"] == 0
@@ -210,7 +211,7 @@ class TestRun:
     def test_no_send_after_halt(self):
         result = run(RunConfig(n=12, params=PARAMS, seed=6), collect_trace=True)
         halt_round = {}
-        for event in result.trace.events:
+        for event in events(result.trace):
             if event.kind == "halt":
                 halt_round[event.id] = event.round
             if event.kind == "send" and event.id in halt_round:
@@ -222,7 +223,7 @@ class TestRun:
         result = run(config, collect_trace=True)
         crashed = set(result.schedule.crash_round)
         assert crashed
-        for event in result.trace.events:
+        for event in events(result.trace):
             if event.kind == "send":
                 assert event.id not in crashed
 
@@ -248,7 +249,7 @@ class TestRun:
         config = RunConfig(n=16, params=PARAMS, model=LinearFraction(0.5),
                            crash_pattern=UpfrontCrashes(), seed=13)
         result = run(config, collect_trace=True)
-        crash_events = [e for e in result.trace.events if e.kind == "crash"]
+        crash_events = [e for e in events(result.trace) if e.kind == "crash"]
         assert sorted(e.id for e in crash_events) == sorted(result.schedule.crash_round)
 
     def test_default_round_caps(self):

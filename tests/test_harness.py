@@ -1,9 +1,11 @@
 import csv
 import json
+import re
 import statistics
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,15 @@ from relsim.harness import (
     write_sweep_csv,
     write_trace,
 )
-from relsim.trace import EVENT_KINDS, SCHEMA_VERSION, TraceCollector
+from relsim.trace import (
+    CODED_COLUMNS,
+    CODES,
+    EVENT_KINDS,
+    SCHEMA_VERSION,
+    Batch,
+    TraceCollector,
+)
+from trace_events import events
 
 # Payload keys of each event kind, in the order they are written.
 PAYLOAD_KEYS = {"send": ("type", "to", "ell"), "drop": ("type", "reason"),
@@ -178,6 +188,12 @@ class TestCliRun:
         assert calls == [8]
         assert capsys.readouterr().out.count("criterion 8:") == 1
 
+    def test_verify_line_ends_in_wall_time(self, monkeypatch, capsys):
+        monkeypatch.setitem(CRITERIA, 8, lambda: CriterionResult(8, "stub", True, "ok"))
+        assert main(["verify", "--only", "8"]) == 0
+        assert re.fullmatch(r"PASS  criterion 8: stub -- ok \(\d+\.\d s\)\n",
+                            capsys.readouterr().out)
+
 
 class TestPSpec:
     def test_parse_variants(self):
@@ -216,7 +232,7 @@ class TestTraceArtifacts:
 
     def test_send_events_match_message_total(self):
         result = run(self._config(), collect_trace=True)
-        sends = sum(1 for e in result.trace.events if e.kind == "send")
+        sends = sum(1 for e in events(result.trace) if e.kind == "send")
         assert sends == result.metrics.messages_total
 
     def test_halt_event_schema(self):
@@ -228,7 +244,7 @@ class TestTraceArtifacts:
 
     def test_kind_filter(self):
         result = run(self._config(), collect_trace=True, trace_kinds=["halt"])
-        assert {e.kind for e in result.trace.events} == {"halt"}
+        assert {e.kind for e in events(result.trace)} == {"halt"}
 
     def test_render_matches_write(self, tmp_path):
         result = run(self._config(), collect_trace=True)
@@ -260,40 +276,78 @@ class TestTraceArtifacts:
         assert "byte-identical" in capsys.readouterr().out
 
     def test_empty_batch_emits_nothing(self):
-        trace = TraceCollector()
-        trace.emit(0, "query", "send", "crash", [])
-        trace.emit(0, "query", "send", "send", [], type=[], to=[])
-        trace.emit(2, "gossip", "compute", "halt", [3])
-        assert trace.lines == ['{"v":1,"seq":0,"round":2,"stage":"gossip",'
-                               '"step":"compute","id":3,"kind":"halt"}']
+        batches = []
+        trace = TraceCollector(sink=lambda chunk: None, batch_sink=batches.append)
+        held = TraceCollector()
+        none = np.empty(0, dtype=np.int64)
+        for collector in (trace, held):
+            collector.emit(0, "query", "send", "crash", none)
+            collector.emit(0, "query", "send", "send", none, type=0, to=none)
+            collector.emit(2, "gossip", "compute", "halt", np.array([3]))
+        assert held.lines == ['{"v":1,"seq":0,"round":2,"stage":"gossip",'
+                              '"step":"compute","id":3,"kind":"halt"}']
+        assert [(b.seq, b.kind) for b in batches] == [(0, "halt")]
 
-    @pytest.mark.parametrize("kinds", [None, ["crash", "halt", "send"]])
+    @pytest.mark.parametrize("kinds", [None, ["crash", "halt", "send", "drop"]])
     def test_emit_matches_reference_renderer_at_edge_values(self, kinds):
-        # Around each digit boundary and the digit table's limit (2**16).
-        edges = [0, 9, 10, 99, 100, 65535, 65536, 2**30 - 1]
+        # Around each digit boundary, 2**16, and negative values.
+        edges = [0, 9, 10, 99, 100, 65535, 65536, 2**30 - 1, -1, -65536]
+        share, profess, request, crashed, halted = map(CODES.index, (
+            "share", "profess", "task_request", "crashed", "halted"))
         trace = TraceCollector(kinds)
         expected = []
 
         def emit(rnd, stage, step, kind, ids, **columns):
-            trace.emit(rnd, stage, step, kind, ids, **columns)
+            # A list column is one value per id; an int, one for every line.
+            trace.emit(rnd, stage, step, kind, np.array(ids), **{
+                key: np.array(col) if isinstance(col, list) else col
+                for key, col in columns.items()})
             if kinds is None or kind in kinds:
                 expected.extend(reference_line({
                     "v": SCHEMA_VERSION, "seq": len(expected), "round": rnd,
                     "stage": stage, "step": step, "id": pid, "kind": kind,
-                    **{key: col[i] for key, col in columns.items()}})
+                    **{key: CODES[value] if key in CODED_COLUMNS else value
+                       for key, col in columns.items()
+                       for value in [col[i] if isinstance(col, list) else col]}})
                     for i, pid in enumerate(ids))
 
         for value in edges:
             emit(value, "gossip", "compute", "halt", [value])
-        emit(3, "gossip", "send", "send", edges, type=["share", "profess"] * 4,
+        # Mixed code and int columns, then constant ones given as arrays.
+        emit(3, "gossip", "send", "send", edges, type=[share, profess] * 5,
              to=edges[::-1], ell=edges)
-        emit(4, "query", "receive", "drop", edges, type=["task_request"] * 8,
-             reason=["crashed", "halted"] * 4)
-        emit(5, "gossip", "receive", "receive", [7], type=["share"])
+        emit(3, "gossip", "send", "send", edges, type=[share] * 10, to=edges,
+             ell=[0] * 10)
+        emit(3, "gossip", "send", "send", edges[:3], type=[profess] * 3,
+             to=[-7] * 3, ell=[2**40] * 3)
+        emit(3, "gossip", "send", "send", edges, type=[share] * 9 + [profess],
+             to=edges, ell=[0] * 9 + [-2])
+        # Codes given as one value for every line, and mixed reasons.
+        emit(4, "query", "receive", "drop", edges, type=request,
+             reason=[crashed, halted] * 5)
+        emit(4, "gossip", "receive", "drop", edges[:4], type=[share, profess] * 2,
+             reason=[halted] * 4)
+        emit(5, "gossip", "receive", "receive", [7], type=[share])
+        emit(5, "query", "receive", "receive", [-3, 70000], type=request)
         # 100 lines whose seq crosses 99 -> 100, with or without the filter.
         emit(6, "query", "send", "crash", list(range(100)))
         assert trace.lines == expected
         assert trace.text == "".join(line + "\n" for line in expected)
+
+    @settings(max_examples=25)
+    @given(traced_configs(),
+           st.one_of(st.none(), st.lists(st.sampled_from(EVENT_KINDS), unique=True)))
+    def test_rendered_batches_are_the_text_chunks(self, config, kinds):
+        chunks, rendered = [], []
+        run(config, trace_kinds=kinds, trace_sink=chunks.append,
+            batch_sink=lambda batch: rendered.append(batch.render()))
+        assert rendered == chunks
+        # With only a batch sink, nothing is rendered.
+        renders, batches = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Batch, "render", lambda batch: renders.append(batch))
+            run(config, trace_kinds=kinds, batch_sink=batches.append)
+        assert not renders and len(batches) == len(chunks)
 
     @pytest.mark.parametrize("kinds", [None, "halt,send"])
     def test_run_trace_file_matches_render_trace(self, tmp_path, kinds, capsys):
@@ -586,3 +640,18 @@ class TestInputFaults:
                      "--trace-kinds", "halt,bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
         assert not path.exists()
+
+    # One case per output flag: a missing directory, and a file where a
+    # directory belongs.  Each fails before the run, so nothing is printed.
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n", "8", "--trace", "{tmp}/missing/x.trace"],
+        ["run", "--n", "8", "--out", "{tmp}/file"],
+        ["sweep", "--grid", "8,16", "--out", "{tmp}/file"],
+    ], ids=["run-trace", "run-out", "sweep-out"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, argv, capsys):
+        (tmp_path / "file").write_text("kept\n")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: cannot write") and not out
+        assert (tmp_path / "file").read_text() == "kept\n"
+        assert not (tmp_path / "missing").exists()

@@ -1,17 +1,21 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from relsim import metrics
 from relsim.adversary import (
     CrashSchedule,
     LinearFraction,
+    ReliabilityAssignment,
     UniformReliability,
     UpfrontCrashes,
 )
 from relsim.engine import RunConfig, run
 from relsim.estimator import EstimationParams
 from relsim.metrics import (
+    AccuracyReport,
     MetricsDomainError,
     RunMetrics,
     accuracy,
@@ -19,6 +23,33 @@ from relsim.metrics import (
 )
 
 PARAMS = EstimationParams(0.5, 0.1)
+
+
+def reference_accuracy(run, truth, schedule, params) -> AccuracyReport:
+    """``accuracy`` as a loop over observers, one estimate row at a time."""
+    n = run.config.n
+    lo = truth.p * (1.0 - params.epsilon)
+    hi = truth.p * (1.0 + params.epsilon)
+    crashed = np.zeros(n, dtype=bool)
+    for pid, rnd in schedule.crash_round.items():
+        if rnd < run.metrics.rounds_to_all_halt:
+            crashed[pid] = True
+    live = ~crashed
+    n_within = n_numeric_live = tp = fp = undetermined = 0
+    for est in run.estimates.values():
+        is_undet = np.isnan(est)
+        is_crashmark = est == -1.0
+        numeric_live = ~(is_undet | is_crashmark) & live
+        undetermined += int(is_undet.sum())
+        tp += int((is_crashmark & crashed).sum())
+        fp += int((is_crashmark & live).sum())
+        n_numeric_live += int(numeric_live.sum())
+        n_within += int((numeric_live & (est >= lo) & (est <= hi)).sum())
+    return AccuracyReport(
+        fraction_within_band=n_within / n_numeric_live if n_numeric_live else 0.0,
+        n_within=n_within, n_numeric_live=n_numeric_live,
+        crash_true_positives=tp, crash_false_positives=fp,
+        undetermined=undetermined, live_pairs=len(run.estimates) * int(live.sum()))
 
 
 class TestAccountStep:
@@ -84,6 +115,32 @@ class TestAccuracy:
         report = accuracy(result, result.truth, result.schedule, PARAMS)
         assert report.undetermined == 1
         assert report.n_numeric_live == 15
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("cells", [metrics._SCORED_CELLS, 40])
+    def test_matches_per_observer_loop(self, seed, cells, monkeypatch):
+        # Random estimates: NaN, -1, and values in, out of and on the edges of
+        # each target's band; some crash rounds fall after the run's last round.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        _, result = self._run()
+        result.config = RunConfig(n=n, params=PARAMS)
+        result.metrics.rounds_to_all_halt = 20
+        truth = ReliabilityAssignment(rng.uniform(0.1, 1.0, n))
+        schedule = CrashSchedule({int(pid): int(rng.integers(0, 40))
+                                  for pid in rng.choice(n, n // 3, replace=False)})
+        result.estimates = {}
+        for pid in rng.choice(n, int(rng.integers(0, n + 1)), replace=False):
+            est = truth.p * rng.uniform(0.2, 1.8, n)
+            for bound in (1 - PARAMS.epsilon, 1 + PARAMS.epsilon):
+                edge = rng.random(n) < 0.1
+                est[edge] = (truth.p * bound)[edge]
+            est[rng.random(n) < 0.2] = np.nan
+            est[rng.random(n) < 0.2] = -1.0
+            result.estimates[int(pid)] = est
+        monkeypatch.setattr(metrics, "_SCORED_CELLS", cells)
+        assert (asdict(accuracy(result, truth, schedule, PARAMS))
+                == asdict(reference_accuracy(result, truth, schedule, PARAMS)))
 
 
 class TestScalingFit:

@@ -1,18 +1,20 @@
 """Criterion 7's trace checker against a checker that parses every line.
 
-``_check_trace_invariants`` reads each line's kind from its kind field and
-parses only send, halt and enlighten lines; ``reference_check`` parses every
-line into a ``TraceEvent``.  They must report the same problems on real
-traces and on traces edited to break each invariant.
+``TraceChecker`` is a batch sink: it checks a run's trace batches as they
+stream, with no text.  ``reference_check`` parses every line of the rendered
+trace into a ``TraceEvent``.  They must report the same problems on real
+traces and on traces edited to break each invariant, which reach the
+checker as one-line batches.
 """
 
 import json
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from relsim.acceptance import _check_trace_invariants
+from relsim.acceptance import TraceChecker
 from relsim.adversary import (
     FractionalPolynomial,
     LinearFraction,
@@ -23,7 +25,8 @@ from relsim.adversary import (
 )
 from relsim.engine import RunConfig, run
 from relsim.estimator import EstimationParams
-from relsim.trace import TraceCollector
+from relsim.trace import CODED_COLUMNS, CODES, Batch, TraceCollector
+from trace_events import events
 
 Q = EstimationParams(0.8, 0.4)
 
@@ -47,7 +50,7 @@ def reference_check(result) -> list[str]:
     halt_round = {}
     enlighten_round = {}
     sends = receives = drops = 0
-    for ev in trace.events:
+    for ev in events(trace):
         if ev.kind == "halt":
             halt_round[ev.id] = ev.round
         elif ev.kind == "enlighten":
@@ -79,6 +82,27 @@ def _with_lines(result, lines):
     trace = TraceCollector()
     trace.chunks.append("".join(line + "\n" for line in lines))
     return replace(result, trace=trace)
+
+
+def _traced(config):
+    """A run whose trace goes to held chunks and to a checker sink."""
+    held, checker = TraceCollector(), TraceChecker(config.n)
+    result = run(config, trace_sink=held.chunks.append, batch_sink=checker)
+    return replace(result, trace=held), checker
+
+
+def _checked_lines(result, lines) -> list[str]:
+    """The checker's problems with trace ``lines``, fed as one-line batches."""
+    checker = TraceChecker(result.config.n)
+    for line in lines:
+        record = json.loads(line)
+        head = [record.pop(key) for key in ("seq", "round", "stage", "step", "kind")]
+        pid = record.pop("id")
+        del record["v"]
+        checker(Batch(*head, np.array([pid]), {
+            key: np.array([CODES.index(value) if key in CODED_COLUMNS else value])
+            for key, value in record.items()}))
+    return checker.problems(result.metrics)
 
 
 def _first(lines, pattern):
@@ -123,22 +147,23 @@ EDITS = {
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_checker_matches_reference_on_real_traces(name):
-    result = run(CONFIGS[name], collect_trace=True)
-    assert _check_trace_invariants(result) == reference_check(result) == []
+    result, checker = _traced(CONFIGS[name])
+    assert checker.problems(result.metrics) == reference_check(result) == []
+    assert _checked_lines(result, result.trace.lines) == []
 
 
 @pytest.mark.parametrize("edit", sorted(EDITS))
 def test_checker_matches_reference_on_broken_traces(edit):
-    result = run(CONFIGS["lf-upfront"], collect_trace=True)
-    broken = _with_lines(result, EDITS[edit](result.trace.lines))
-    problems = _check_trace_invariants(broken)
-    assert problems and problems == reference_check(broken)
+    result, _ = _traced(CONFIGS["lf-upfront"])
+    lines = EDITS[edit](result.trace.lines)
+    problems = _checked_lines(result, lines)
+    assert problems and problems == reference_check(_with_lines(result, lines))
 
 
 def test_checker_matches_reference_on_unbalanced_ledger():
-    result = run(CONFIGS["lf-upfront"], collect_trace=True)
+    result, checker = _traced(CONFIGS["lf-upfront"])
     metrics = replace(result.metrics, messages_by_type={
         **result.metrics.messages_by_type, "share": result.metrics.messages_by_type["share"] + 1})
     broken = replace(result, metrics=metrics)
-    assert _check_trace_invariants(broken) == reference_check(broken) == [
+    assert checker.problems(metrics) == reference_check(broken) == [
         "metrics conservation ledger unbalanced"]
