@@ -47,6 +47,7 @@ from .adversary import (
     UpfrontCrashes,
     assign_probabilities,
     generate_crash_schedule,
+    max_crashes,
 )
 from .estimator import EstimationParams, gamma1
 from .knowledge import RecordPool
@@ -99,6 +100,8 @@ class RunConfig:
             raise ConfigError(
                 "stopping threshold must exceed 1; pick a smaller delta"
             )
+        # Raises AdversaryDomainError if the model needs more survivors than n.
+        max_crashes(self.n, self.model)
 
     def to_dict(self) -> dict:
         return {
@@ -262,16 +265,15 @@ def run(
     collect_trace: bool = False,
     trace_kinds=None,
     trace_sink=None,
-    batch_sink=None,
     check_invariants: bool = False,
     keep_states: bool = False,
 ) -> RunResult:
     """Execute one simulation to completion or the round cap.
 
-    ``collect_trace`` keeps the trace's rendered chunks in the result's
-    ``TraceCollector``.  ``trace_sink``, a callable taking each chunk as it
-    is emitted, and ``batch_sink``, one taking each :class:`.trace.Batch`,
-    trace the run without keeping it.  ``trace_kinds`` filters by event kind.
+    ``collect_trace`` keeps the trace's batches (:class:`.trace.Batch`) in
+    the result's ``TraceCollector``.  ``trace_sink``, a callable taking each
+    batch as it is emitted, traces the run without keeping it.
+    ``trace_kinds`` filters by event kind.
 
     ``check_invariants`` makes the engine assert per-round state invariants
     (knowledge monotonicity, level 0 while unenlightened); intended for
@@ -292,8 +294,8 @@ def run(
     pool = RecordPool(n, gamma1(config.params))
     pop = Population.start(n, schedule.crash_round, max_rounds)
     metrics = RunMetrics(per_processor_halt_round=[None] * n)
-    tracing = collect_trace or trace_sink is not None or batch_sink is not None
-    trace = TraceCollector(trace_kinds, trace_sink, batch_sink) if tracing else None
+    tracing = collect_trace or trace_sink is not None
+    trace = TraceCollector(trace_kinds, trace_sink) if tracing else None
     window = StreamWindow(seed, n, max_rounds)
     p = truth.p
 

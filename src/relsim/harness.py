@@ -21,10 +21,9 @@ import argparse
 import csv
 import json
 import math
-import statistics
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
@@ -33,7 +32,7 @@ from .adversary import AdversaryDomainError
 from .engine import SPECS, ConfigError, RunConfig, RunResult, spec_from_dict, spec_to_dict
 from .estimator import ParameterDomainError
 from .metrics import accuracy
-from .trace import EVENT_KINDS, SCHEMA_VERSION
+from .trace import EVENT_KINDS, SCHEMA_VERSION, Batch
 
 SWEEP_COLUMNS = [
     "row_type", "n", "trial", "seed", "completion", "T", "W", "M",
@@ -129,7 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--grid", type=str, required=True,
                          help="comma-separated strictly increasing n values")
     sweep_p.add_argument("--trials", type=int, default=1)
-    sweep_p.add_argument("--jobs", type=int, default=1)
+    sweep_p.add_argument("--jobs", type=int, default=1,
+                         help="worker processes; at most the number of runs and of CPUs")
     sweep_p.add_argument("--out", type=Path, required=True)
 
     verify_p = sub.add_parser("verify", help="run the acceptance suite")
@@ -242,28 +242,28 @@ def _trace_header(config: RunConfig, kinds) -> str:
 
 
 def write_trace(result: RunResult, path: Path) -> None:
-    """Write the header and the held trace's chunks."""
+    """Write the header and the held trace, rendering one batch at a time."""
     with open(path, "w", encoding="utf-8", newline="") as sink:
         sink.write(_trace_header(result.config, result.trace.kinds))
-        sink.writelines(result.trace.chunks)
+        sink.writelines(map(Batch.render, result.trace.batches))
 
 
 def render_trace(result: RunResult) -> str:
     """The text that :func:`write_trace` writes."""
     return "".join([_trace_header(result.config, result.trace.kinds),
-                    *result.trace.chunks])
+                    *map(Batch.render, result.trace.batches)])
 
 
 class _SameAs:
-    """A trace sink that compares each chunk with the next bytes of a file."""
+    """A trace sink that compares each batch's text with the next bytes of a file."""
 
     def __init__(self, source):
         self.source = source
         self.same = True
 
-    def __call__(self, chunk: str) -> None:
+    def __call__(self, batch: Batch) -> None:
         if self.same:
-            data = chunk.encode()
+            data = batch.render().encode()
             self.same = self.source.read(len(data)) == data
 
 
@@ -288,18 +288,23 @@ class ExperimentSpec:
             b <= a for a, b in zip(self.grid, self.grid[1:])
         ):
             raise UsageError("grid must be nonempty and strictly increasing")
+        for _, config in self.points():
+            config.validate()
+
+    def points(self) -> list[tuple[int, RunConfig]]:
+        """(trial, config) of every run, by n then trial; trial t runs at
+        the base seed plus t."""
+        return [(trial, replace(self.base, n=n, seed=self.base.seed + trial))
+                for n in self.grid for trial in range(self.trials)]
 
 
-def _sweep_point(payload: tuple[dict, int, int]) -> dict:
-    base_dict, n, trial = payload
-    config = RunConfig.from_dict({**base_dict, "n": n,
-                                  "seed": base_dict["seed"] + trial,
-                                  "max_rounds": base_dict.get("max_rounds")})
+def _sweep_point(point: tuple[int, RunConfig]) -> dict:
+    trial, config = point
     result = engine.run(config)
     report = accuracy(result, result.truth, result.schedule, config.params)
     return {
         "row_type": "trial",
-        "n": n,
+        "n": config.n,
         "trial": trial,
         "seed": config.seed,
         "completion": result.completion,
@@ -316,16 +321,21 @@ def _sweep_point(payload: tuple[dict, int, int]) -> dict:
 def sweep(spec: ExperimentSpec) -> list[dict]:
     """Run the grid and return per-trial rows plus per-n aggregates.
 
-    An aggregate's completion cell counts its trials that stopped at the
-    round cap, as ``round_cap_hit k/trials``.
+    The runs go to at most ``spec.jobs`` worker processes, and to no more
+    than there are runs or CPUs.  An aggregate's completion cell counts its
+    trials that stopped at the round cap, as ``round_cap_hit k/trials``.
     """
-    base_dict = spec.base.to_dict()
-    points = [(base_dict, n, t) for n in spec.grid for t in range(spec.trials)]
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    import statistics
+
+    points = spec.points()
+    workers = min(spec.jobs, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, points))
     else:
-        rows = [_sweep_point(pt) for pt in points]
+        rows = [_sweep_point(point) for point in points]
     out: list[dict] = []
     for n in spec.grid:
         group = [r for r in rows if r["n"] == n]
@@ -365,7 +375,8 @@ def _cmd_run(args) -> int:
     if args.trace:
         with _output(args.trace) as sink:
             sink.write(_trace_header(config, trace_kinds))
-            result = engine.run(config, trace_kinds=trace_kinds, trace_sink=sink.write)
+            result = engine.run(config, trace_kinds=trace_kinds,
+                                trace_sink=lambda batch: sink.write(batch.render()))
     else:
         result = engine.run(config)
     summary = summarize(result, dump_estimates=args.dump_estimates)

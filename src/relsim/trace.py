@@ -13,11 +13,11 @@ per point-to-point message.
 
 The engine emits events in batches of one kind, as a :class:`Batch` of
 arrays: ids, int columns, and message types and drop reasons as codes into
-:data:`CODES`.  A column of one value, given as such or found equal, is text
-of the line template, which one ``%`` formats for the whole batch.  A batch
-sink takes each Batch; a text sink (a file's ``write``, say) takes each
-batch rendered into a newline-terminated chunk, which happens only when one
-is attached.  With no sink of either kind, the chunks are held in a list.
+:data:`CODES`.  A trace sink takes each Batch; with none, the batches are
+held.  Text is made only where a trace is written or compared:
+:meth:`Batch.render` turns a batch into its lines, formatting a template
+once for the whole batch, with a column of one value written into the
+template.
 """
 
 from __future__ import annotations
@@ -80,16 +80,11 @@ class Batch(NamedTuple):
 
 
 class TraceCollector:
-    """Hands event batches to a batch sink and their rendered text chunks to
-    a text sink, optionally filtered by kind.
-
-    With neither sink, ``chunks`` holds the chunks in emission order;
-    otherwise it is None, and text is rendered only for a text sink.
-    """
+    """Numbers event batches, optionally filtered by kind, and hands each to
+    ``sink``; with no sink, ``batches`` holds them in emission order."""
 
     def __init__(self, kinds: Optional[Iterable[str]] = None,
-                 sink: Optional[Callable[[str], object]] = None,
-                 batch_sink: Optional[Callable[[Batch], object]] = None):
+                 sink: Optional[Callable[[Batch], object]] = None):
         if kinds is not None:
             unknown = set(kinds) - set(EVENT_KINDS)
             if unknown:
@@ -97,16 +92,14 @@ class TraceCollector:
             self.kinds = frozenset(kinds)
         else:
             self.kinds = None
-        self.chunks: Optional[list[str]] = (
-            [] if sink is None and batch_sink is None else None)
-        self._sink = self.chunks.append if self.chunks is not None else sink
-        self._batch_sink = batch_sink
+        self.batches: Optional[list[Batch]] = [] if sink is None else None
+        self._sink = self.batches.append if sink is None else sink
         self._seq = 0
 
     @property
     def text(self) -> str:
         """The held trace's lines, each ending in a newline."""
-        return "".join(self.chunks)
+        return "".join(batch.render() for batch in self.batches)
 
     @property
     def lines(self) -> list[str]:
@@ -119,9 +112,5 @@ class TraceCollector:
         m = len(ids)
         if not m or (self.kinds is not None and kind not in self.kinds):
             return
-        batch = Batch(self._seq, rnd, stage, step, kind, ids, columns)
+        self._sink(Batch(self._seq, rnd, stage, step, kind, ids, columns))
         self._seq += m
-        if self._batch_sink is not None:
-            self._batch_sink(batch)
-        if self._sink is not None:
-            self._sink(batch.render())

@@ -1,7 +1,11 @@
+import concurrent.futures
 import csv
 import json
+import os
 import re
 import statistics
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -209,6 +213,12 @@ class TestPSpec:
                 parse_p_spec(text)
 
 
+# Runs whose config is rejected; the last needs more survivors (log2(4)**3)
+# than it has workers.
+REJECTED_RUNS = [["--n", "0"], ["--n", "8", "--epsilon", "1.5"],
+                 ["--n", "4", "--model", "pl", "--c", "3"]]
+
+
 class TestTraceArtifacts:
     def _config(self):
         return RunConfig(n=8, params=EstimationParams(0.5, 0.1), seed=5)
@@ -277,7 +287,7 @@ class TestTraceArtifacts:
 
     def test_empty_batch_emits_nothing(self):
         batches = []
-        trace = TraceCollector(sink=lambda chunk: None, batch_sink=batches.append)
+        trace = TraceCollector(sink=batches.append)
         held = TraceCollector()
         none = np.empty(0, dtype=np.int64)
         for collector in (trace, held):
@@ -338,16 +348,19 @@ class TestTraceArtifacts:
     @given(traced_configs(),
            st.one_of(st.none(), st.lists(st.sampled_from(EVENT_KINDS), unique=True)))
     def test_rendered_batches_are_the_text_chunks(self, config, kinds):
-        chunks, rendered = [], []
-        run(config, trace_kinds=kinds, trace_sink=chunks.append,
-            batch_sink=lambda batch: rendered.append(batch.render()))
-        assert rendered == chunks
-        # With only a batch sink, nothing is rendered.
+        # A run renders nothing, whether a sink takes its batches or it
+        # holds them.
         renders, batches = [], []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Batch, "render", lambda batch: renders.append(batch))
-            run(config, trace_kinds=kinds, batch_sink=batches.append)
-        assert not renders and len(batches) == len(chunks)
+            run(config, trace_kinds=kinds, trace_sink=batches.append)
+            held = run(config, trace_kinds=kinds, collect_trace=True).trace
+        assert not renders and len(batches) == len(held.batches)
+        # The held trace's text is its batches rendered, and a sink's
+        # batches render to the same chunks.
+        rendered = [batch.render() for batch in batches]
+        assert rendered == [batch.render() for batch in held.batches]
+        assert "".join(rendered) == held.text
 
     @pytest.mark.parametrize("kinds", [None, "halt,send"])
     def test_run_trace_file_matches_render_trace(self, tmp_path, kinds, capsys):
@@ -359,12 +372,19 @@ class TestTraceArtifacts:
                      trace_kinds=None if kinds is None else kinds.split(","))
         assert path.read_bytes() == render_trace(result).encode()
 
-    @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "8", "--epsilon", "1.5"]])
+    @pytest.mark.parametrize("flags", REJECTED_RUNS)
     def test_rejected_run_leaves_no_trace_file(self, tmp_path, flags, capsys):
         path = tmp_path / "run.trace"
         assert main(["run", *flags, "--trace", str(path)]) == 2
         assert "error" in capsys.readouterr().err
         assert not path.exists()
+
+    @pytest.mark.parametrize("flags", REJECTED_RUNS)
+    def test_rejected_run_leaves_no_summary_file(self, tmp_path, flags, capsys):
+        out = tmp_path / "out"
+        assert main(["run", *flags, "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit", sorted(TRACE_EDITS))
     def test_replay_of_edited_trace_is_mismatch(self, tmp_path, edit, capsys):
@@ -447,6 +467,49 @@ class TestSweep:
         assert aggregates == ["round_cap_hit 1/4", "round_cap_hit 2/4"]
         trials = [r["completion"] for r in rows if r["row_type"] == "trial"]
         assert trials.count("round_cap_hit") == 3
+
+    # jobs is one more than the 4 runs; cpu_count None counts as one CPU.
+    @pytest.mark.parametrize("cpus, workers", [(64, [4]), (2, [2]), (None, [])])
+    def test_pool_is_bounded_by_runs_and_cpus(self, tmp_path, monkeypatch, cpus, workers):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        serial = sweep(self._spec(tmp_path))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert sweep(self._spec(tmp_path, jobs=5)) == serial
+        assert started == workers
+
+    @pytest.mark.parametrize("flags", [
+        ["--grid", "2,4", "--model", "pl", "--c", "3"],
+        ["--grid", "8", "--seed", str(2**64 - 1), "--trials", "2"],
+    ], ids=["survivors-exceed-n", "seed-passes-2**64"])
+    def test_rejected_sweep_point_leaves_no_csv(self, tmp_path, flags, capsys):
+        # The first point of each sweep is valid; a later one is not.
+        out = tmp_path / "out"
+        assert main(["sweep", *flags, "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_harness_import_loads_no_pool_or_statistics(self):
+        code = ("import sys, relsim.harness; print(sorted(set(sys.modules) & "
+                "{'multiprocessing', 'concurrent.futures', 'statistics'}))")
+        src = str(Path(sys.modules["relsim"].__file__).parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out == "[]\n"
 
     def test_cli_sweep_end_to_end(self, tmp_path, capsys):
         code = main(["sweep", "--grid", "8,16", "--trials", "2",

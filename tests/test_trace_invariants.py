@@ -1,12 +1,14 @@
-"""Criterion 7's trace checker against a checker that parses every line.
+"""Criterion 7's trace checker against a checker that parses every line,
+and the digest that compares a run with its replay.
 
-``TraceChecker`` is a batch sink: it checks a run's trace batches as they
+``TraceChecker`` is a trace sink: it checks a run's trace batches as they
 stream, with no text.  ``reference_check`` parses every line of the rendered
 trace into a ``TraceEvent``.  They must report the same problems on real
 traces and on traces edited to break each invariant, which reach the
 checker as one-line batches.
 """
 
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -14,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relsim.acceptance import TraceChecker
+from relsim.acceptance import TraceChecker, fold_batch
 from relsim.adversary import (
     FractionalPolynomial,
     LinearFraction,
@@ -78,30 +80,41 @@ def reference_check(result) -> list[str]:
     return problems
 
 
+def _batches(lines) -> list[Batch]:
+    """Trace ``lines`` as one-line batches."""
+    batches = []
+    for line in lines:
+        record = json.loads(line)
+        head = [record.pop(key) for key in ("seq", "round", "stage", "step", "kind")]
+        pid = record.pop("id")
+        del record["v"]
+        batches.append(Batch(*head, np.array([pid]), {
+            key: np.array([CODES.index(value) if key in CODED_COLUMNS else value])
+            for key, value in record.items()}))
+    return batches
+
+
 def _with_lines(result, lines):
+    """``result`` holding a trace of ``lines``, as one-line batches."""
     trace = TraceCollector()
-    trace.chunks.append("".join(line + "\n" for line in lines))
+    trace.batches.extend(_batches(lines))
+    assert trace.lines == lines
     return replace(result, trace=trace)
 
 
 def _traced(config):
-    """A run whose trace goes to held chunks and to a checker sink."""
+    """A run whose trace goes to held batches and to a checker sink."""
     held, checker = TraceCollector(), TraceChecker(config.n)
-    result = run(config, trace_sink=held.chunks.append, batch_sink=checker)
+    result = run(config, trace_sink=lambda batch: (held.batches.append(batch),
+                                                   checker(batch)))
     return replace(result, trace=held), checker
 
 
 def _checked_lines(result, lines) -> list[str]:
     """The checker's problems with trace ``lines``, fed as one-line batches."""
     checker = TraceChecker(result.config.n)
-    for line in lines:
-        record = json.loads(line)
-        head = [record.pop(key) for key in ("seq", "round", "stage", "step", "kind")]
-        pid = record.pop("id")
-        del record["v"]
-        checker(Batch(*head, np.array([pid]), {
-            key: np.array([CODES.index(value) if key in CODED_COLUMNS else value])
-            for key, value in record.items()}))
+    for batch in _batches(lines):
+        checker(batch)
     return checker.problems(result.metrics)
 
 
@@ -167,3 +180,43 @@ def test_checker_matches_reference_on_unbalanced_ledger():
     broken = replace(result, metrics=metrics)
     assert checker.problems(metrics) == reference_check(broken) == [
         "metrics conservation ledger unbalanced"]
+
+
+def _digest(batches) -> bytes:
+    sha = hashlib.sha256()
+    for batch in batches:
+        fold_batch(sha, batch)
+    return sha.digest()
+
+
+def _edits(batch):
+    """``batch`` with one field, column name or value changed, each way."""
+    for i, field in enumerate(batch[:5]):
+        yield batch._replace(**{batch._fields[i]: field + (1 if isinstance(field, int) else "x")})
+    for key in batch.columns:
+        yield batch._replace(columns={("x" if k == key else k): v
+                                      for k, v in batch.columns.items()})
+    ids = batch.ids.copy()
+    ids[-1] += 1
+    yield batch._replace(ids=ids)
+    for key, values in batch.columns.items():
+        values = np.array(values, copy=True)
+        values.flat[-1] += 1
+        yield batch._replace(columns={**batch.columns, key: values})
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_batch_digest_sees_every_field_and_value(name):
+    batches = run(CONFIGS[name], collect_trace=True).trace.batches
+    again = run(CONFIGS[name], collect_trace=True).trace.batches
+    digest = _digest(batches)
+    assert _digest(again) == digest
+    # The last batch of each (stage, kind): sends carry code and int
+    # columns, gossip sends a level too, and drops a reason.
+    picked = {(b.stage, b.kind): i for i, b in enumerate(batches)}
+    assert {("query", "send"), ("gossip", "send")} <= set(picked)
+    for i in picked.values():
+        edited = list(_edits(batches[i]))
+        assert len(edited) == 6 + 2 * len(batches[i].columns)
+        for batch in edited:
+            assert _digest([*batches[:i], batch, *batches[i + 1:]]) != digest
