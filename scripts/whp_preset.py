@@ -9,9 +9,9 @@ fraction per size; it should rise toward 1 with n.
 import argparse
 
 from relsim.adversary import LinearFraction, NoCrashes, UniformReliability
-from relsim.engine import RunConfig, run
+from relsim.engine import RunConfig
 from relsim.estimator import EstimationParams
-from relsim.metrics import accuracy
+from relsim.harness import ExperimentSpec, sweep
 
 
 def main() -> int:
@@ -25,23 +25,21 @@ def main() -> int:
 
     print(f"{'n':>6} {'delta=1/n^a':>12} {'in-band':>8} {'undetermined':>13}")
     for n in (int(x) for x in args.grid.split(",")):
+        # delta depends on n, so each n is a sweep of its own.
         delta = 1.0 / n**args.alpha
-        within = numeric = undetermined = 0
-        for trial in range(args.trials):
-            config = RunConfig(
-                n=n,
-                params=EstimationParams(args.epsilon, delta),
-                model=LinearFraction(0.0),
-                crash_pattern=NoCrashes(),
-                reliability=UniformReliability(0.3, 1.0),
-                seed=args.seed + trial,
-            )
-            result = run(config)
-            report = accuracy(result, result.truth, result.schedule,
-                              config.params)
-            within += report.n_within
-            numeric += report.n_numeric_live
-            undetermined += report.undetermined
+        base = RunConfig(
+            n=n,
+            params=EstimationParams(args.epsilon, delta),
+            model=LinearFraction(0.0),
+            crash_pattern=NoCrashes(),
+            reliability=UniformReliability(0.3, 1.0),
+            seed=args.seed,
+        )
+        rows = [r for r in sweep(ExperimentSpec(grid=(n,), trials=args.trials, base=base))
+                if r["row_type"] == "trial"]
+        within = sum(r["n_within"] for r in rows)
+        numeric = sum(r["n_numeric_live"] for r in rows)
+        undetermined = sum(r["undetermined"] for r in rows)
         print(f"{n:>6} {delta:>12.5f} {within / numeric:>8.4f} {undetermined:>13}")
     return 0
 

@@ -3,7 +3,9 @@
 Each criterion function returns a :class:`CriterionResult`; ``run_criteria``
 executes a selection and is what both the CLI ``verify`` subcommand and the
 pytest acceptance module drive.  All checks are deterministic (fixed seeds)
-and headless.
+and headless.  Criteria 3, 5 and 6 are grids of n crossed with consecutive
+seeds, so each runs as one :func:`relsim.harness.sweep` and reads its rows;
+each starts at most ``min(2, runs, CPUs)`` worker processes.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -36,6 +37,7 @@ from .estimator import (
     gamma1,
     sra_run,
 )
+from .harness import ExperimentSpec, sweep
 from .metrics import accuracy, scaling_fit
 from .trace import CODES, EVENT_KINDS, Batch
 
@@ -140,48 +142,21 @@ def criterion_2() -> CriterionResult:
         f"undetermined {checked['undetermined']})")
 
 
-def _accuracy_row(config: RunConfig) -> dict:
-    result = engine.run(config)
-    report = accuracy(result, result.truth, result.schedule, config.params)
-    return {
-        "completion": result.completion,
-        "halted": len(result.estimates),
-        "n_live_halted_expected": config.n - len(result.schedule.crash_round),
-        "T": result.metrics.rounds_to_all_halt,
-        "W": result.metrics.work_steps,
-        "M": result.metrics.messages_total,
-        "n_within": report.n_within,
-        "n_numeric_live": report.n_numeric_live,
-        "undetermined": report.undetermined,
-        "false_positives": report.crash_false_positives,
-        "live_pairs": report.live_pairs,
-    }
-
-
-def _run_rows(configs, jobs: int = _POOL_WORKERS) -> list[dict]:
-    if jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_accuracy_row, configs))
-    return [_accuracy_row(c) for c in configs]
+def _sweep(grid: tuple[int, ...], trials: int, **fields) -> list[dict]:
+    """The trial and aggregate rows of ``trials`` runs per n in ``grid``, at
+    eps 0.5, delta 0.1 and seeds ``seed``, ``seed + 1``, ..."""
+    base = RunConfig(n=grid[0], params=EstimationParams(0.5, 0.1), **fields)
+    return sweep(ExperimentSpec(grid=grid, trials=trials, base=base, jobs=_POOL_WORKERS))
 
 
 def criterion_3() -> CriterionResult:
     """End-to-end approximation without crashes at n=256."""
-    configs = [
-        RunConfig(
-            n=256,
-            params=EstimationParams(0.5, 0.1),
-            model=LinearFraction(0.0),
-            crash_pattern=NoCrashes(),
-            reliability=UniformReliability(0.3, 1.0),
-            seed=300 + s,
-        )
-        for s in range(20)
-    ]
-    rows = _run_rows(configs)
+    rows = _sweep((256,), 20, model=LinearFraction(0.0), crash_pattern=NoCrashes(),
+                  reliability=UniformReliability(0.3, 1.0), seed=300)
+    rows = [r for r in rows if r["row_type"] == "trial"]
     all_halted = all(
         r["completion"] == "all_halted"
-        and r["halted"] == r["n_live_halted_expected"]
+        and r["halted"] == r["n"]
         for r in rows
     )
     undetermined = sum(r["undetermined"] for r in rows)
@@ -231,27 +206,9 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """Growth shape under the linear-fraction model."""
     sizes = (128, 256, 512, 1024, 2048)
-    seeds = 10
-    configs = [
-        RunConfig(
-            n=n,
-            params=EstimationParams(0.5, 0.1),
-            model=LinearFraction(0.25),
-            crash_pattern=UpfrontCrashes(),
-            seed=500 + s,
-        )
-        for n in sizes
-        for s in range(seeds)
-    ]
-    rows = _run_rows(configs)
-    means = {}
-    for i, n in enumerate(sizes):
-        group = rows[i * seeds:(i + 1) * seeds]
-        means[n] = {
-            "T": sum(r["T"] for r in group) / seeds,
-            "W": sum(r["W"] for r in group) / seeds,
-            "M": sum(r["M"] for r in group) / seeds,
-        }
+    rows = _sweep(sizes, 10, model=LinearFraction(0.25), crash_pattern=UpfrontCrashes(),
+                  seed=500)
+    means = {r["n"]: r for r in rows if r["row_type"] == "aggregate"}
     fit_t = scaling_fit([(n, means[n]["T"]) for n in sizes], "log2")
     fit_w = scaling_fit([(n, means[n]["W"]) for n in sizes], "nlog2")
     fit_m = scaling_fit([(n, means[n]["M"]) for n in sizes], "nlog2sq")
@@ -269,22 +226,14 @@ def criterion_6() -> CriterionResult:
     """Fractional-polynomial model terminates and grows sublinearly."""
     sizes = (256, 1024, 4096)
     seeds = 3
-    configs = [
-        RunConfig(
-            n=n,
-            params=EstimationParams(0.5, 0.1),
-            model=FractionalPolynomial(0.5, 1.0),
-            crash_pattern=UpfrontCrashes(),
-            seed=600 + s,
-        )
-        for n in sizes
-        for s in range(seeds)
-    ]
-    rows = _run_rows(configs)
+    rows = _sweep(sizes, seeds, model=FractionalPolynomial(0.5, 1.0),
+                  crash_pattern=UpfrontCrashes(), seed=600)
+    rows = [r for r in rows if r["row_type"] == "trial"]
     under_cap = all(r["completion"] == "all_halted" for r in rows)
+    # Means of the trials' T, unrounded, unlike the aggregate rows'.
     mean_t = {
-        n: sum(r["T"] for r in rows[i * seeds:(i + 1) * seeds]) / seeds
-        for i, n in enumerate(sizes)
+        n: sum(r["T"] for r in rows if r["n"] == n) / seeds
+        for n in sizes
     }
     ratio = mean_t[4096] / mean_t[256]
     envelope_hi = 16 * (math.log2(4096) / math.log2(256))

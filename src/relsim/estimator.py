@@ -86,7 +86,9 @@ EstimateValue = Union[float, _Undetermined]
 class EstimationParams:
     """Relative-error bound and failure probability of the estimator.
 
-    ``epsilon`` must lie strictly inside (0, 1); ``delta`` must be positive.
+    ``epsilon`` must lie strictly inside (0, 1); ``delta`` must be positive
+    and finite; and together they must give a finite stopping threshold
+    :func:`gamma1`, which a tiny epsilon or delta overflows.
     """
 
     epsilon: float
@@ -97,8 +99,14 @@ class EstimationParams:
             raise ParameterDomainError(
                 f"epsilon must be in (0, 1), got {self.epsilon}"
             )
-        if not self.delta > 0.0:
-            raise ParameterDomainError(f"delta must be > 0, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ParameterDomainError(f"delta must be finite and > 0, got {self.delta}")
+        # epsilon**2 underflows to 0 below about 1e-162.
+        if not (self.epsilon**2 > 0.0 and math.isfinite(gamma1(self))):
+            raise ParameterDomainError(
+                f"epsilon {self.epsilon} and delta {self.delta} give no finite "
+                "stopping threshold"
+            )
 
     @property
     def lam(self) -> float:

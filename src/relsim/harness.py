@@ -46,7 +46,7 @@ AGGREGATED_COLUMNS = ("T", "W", "M", "fraction_within_band", "false_positives",
 
 
 # Flags that set the config key of the same name.
-_SCALAR_FLAGS = ("n", "epsilon", "delta", "seed", "max_rounds", "literal_ell_reset")
+_SCALAR_FLAGS = ("n", "epsilon", "delta", "seed", "max_rounds")
 # Flags that set one field of a spec section: dest -> (section, field, help).
 _FIELD_FLAGS = {
     "f": ("model", "f", "crash fraction"),
@@ -113,7 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help=f"{text}; {_needs(section, name)}")
         p.add_argument("--seed", type=int)
         p.add_argument("--max-rounds", type=int)
-        p.add_argument("--literal-ell-reset", action="store_true", default=None)
 
     run_p = sub.add_parser("run", help="execute one simulation")
     add_config_flags(run_p)
@@ -213,7 +212,9 @@ def summarize(result: RunResult, dump_estimates: bool = False) -> dict:
         "dropped_to_crashed": metrics.dropped_to_crashed,
         "dropped_to_halted": metrics.dropped_to_halted,
         "halted": sum(1 for r in metrics.per_processor_halt_round if r is not None),
-        "crashed": len(result.schedule.crash_round),
+        # Crashes scheduled at or after the last round never happened.
+        "crashed": sum(1 for r in result.schedule.crash_round.values()
+                       if r < metrics.rounds_to_all_halt),
         "accuracy": {
             "fraction_within_band": report.fraction_within_band,
             "n_within": report.n_within,
@@ -315,6 +316,10 @@ def _sweep_point(point: tuple[int, RunConfig]) -> dict:
         "false_positives": report.crash_false_positives,
         "undetermined": report.undetermined,
         "std_T": "", "std_W": "", "std_M": "", "std_fraction_within_band": "",
+        # Left out of sweep.csv; the acceptance suite and scripts read them.
+        "halted": len(result.estimates),
+        "n_within": report.n_within,
+        "n_numeric_live": report.n_numeric_live,
     }
 
 
@@ -356,7 +361,7 @@ def sweep(spec: ExperimentSpec) -> list[dict]:
 
 def write_sweep_csv(rows: list[dict], path: Path) -> None:
     with open(path, "w", newline="") as sink:
-        writer = csv.DictWriter(sink, fieldnames=SWEEP_COLUMNS)
+        writer = csv.DictWriter(sink, fieldnames=SWEEP_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
 

@@ -42,11 +42,19 @@ class TestParams:
         with pytest.raises(ParameterDomainError):
             EstimationParams(1.0, 2.0)
 
+    # The last five: delta inf or nan, a gamma1 that overflows to inf
+    # (through delta or epsilon), and an epsilon**2 that underflows to 0.
     @pytest.mark.parametrize("eps,delta", [(0.0, 0.1), (-0.1, 0.1), (0.5, 0.0),
-                                           (0.5, -1.0), (1.5, 0.1)])
+                                           (0.5, -1.0), (1.5, 0.1),
+                                           (0.5, math.inf), (0.5, math.nan),
+                                           (0.5, 1e-320), (1e-160, 0.1),
+                                           (1e-200, 0.1)])
     def test_rejects_out_of_domain(self, eps, delta):
         with pytest.raises(ParameterDomainError):
             EstimationParams(eps, delta)
+
+    def test_extreme_finite_threshold_accepted(self):
+        assert math.isfinite(gamma1(EstimationParams(1e-150, 1e-300)))
 
 
 class TestGamma:

@@ -41,6 +41,7 @@ from relsim.harness import (
     write_sweep_csv,
     write_trace,
 )
+from relsim.metrics import accuracy
 from relsim.trace import (
     CODED_COLUMNS,
     CODES,
@@ -144,6 +145,15 @@ class TestCliRun:
         summary = json.loads(captured.out)
         assert summary["completion"] == "round_cap_hit" and summary["crashed"] > 0
         assert f"{12 - summary['crashed']} workers still active" in captured.err
+
+    def test_crash_scheduled_after_last_round_is_not_counted(self, capsys):
+        # Crash rounds are drawn from a window far longer than the run.
+        assert main(["run", "--n", "64", "--crash-pattern", "spread",
+                     "--spread-rounds", "100000", "--seed", "1"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["completion"] == "all_halted"
+        assert summary["halted"] + summary["crashed"] <= 64
+        assert summary["crashed"] == summary["dropped_to_crashed"] == 0
 
     def test_completed_run_prints_no_note(self, capsys):
         assert main(["run", "--n", "4", "--seed", "3"]) == 0
@@ -422,9 +432,23 @@ class TestSweep:
             reader = csv.reader(fh)
             header = next(reader)
             body = list(reader)
+        assert header == SWEEP_COLUMNS
         assert header[:8] == ["row_type", "n", "trial", "seed", "completion",
                               "T", "W", "M"]
         assert len(body) == 6
+        assert all(len(row) == len(SWEEP_COLUMNS) for row in body)
+
+    def test_trial_rows_carry_halted_and_pooled_counts(self, tmp_path):
+        spec = self._spec(tmp_path)
+        trial_rows = [r for r in sweep(spec) if r["row_type"] == "trial"]
+        assert len(trial_rows) == len(spec.points())
+        for row, (_, config) in zip(trial_rows, spec.points()):
+            result = run(config)
+            report = accuracy(result, result.truth, result.schedule, config.params)
+            assert (row["n"], row["seed"]) == (config.n, config.seed)
+            assert row["halted"] == len(result.estimates)
+            assert row["n_within"] == report.n_within
+            assert row["n_numeric_live"] == report.n_numeric_live
 
     def test_grid_must_increase(self, tmp_path):
         base = RunConfig(n=16, params=EstimationParams(0.5, 0.1))
@@ -668,6 +692,25 @@ class TestInputFaults:
                                       "seed": 3.0, "max_rounds": 9.0})
         assert (config.n, config.seed, config.max_rounds) == (4, 3, 9)
         assert all(type(v) is int for v in (config.n, config.seed, config.max_rounds))
+
+    # A delta of inf takes the log of 0; the others overflow or divide by
+    # zero in the stopping threshold.
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "inf"], ["--delta", "1e-320"],
+        ["--epsilon", "1e-160"], ["--epsilon", "1e-200"],
+    ], ids=" ".join)
+    def test_estimation_params_without_finite_threshold_are_usage_errors(
+            self, flags, capsys):
+        assert main(["run", "--n", "4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_literal_ell_reset_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--n", "4", "--literal-ell-reset"])
+        assert exit_.value.code == 2
+        assert "--literal-ell-reset" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["-3", str(2**64)])
     def test_seed_outside_uint64_is_usage_error(self, seed, capsys):
