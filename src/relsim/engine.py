@@ -16,10 +16,12 @@ the crash schedule and the draws.  The engine therefore steps rounds in
 blocks: each step runs once over a block's (round, processor) pairs, and a
 short loop then does, round by round, what depends on the round before: a
 processor's own newest record in its knowledge row, the round's knowledge
-merges, its halts and its trace lines.  A block ends at its draw window's
-end, at the round cap, at the first round with no live processor, and
-before the round whose records settle the pool, found before anything is
-committed.  From that round on, each block is one round.
+merges and its trace lines.  In a block of more than one round nobody
+professes, so gossip compute is the merge alone; a one-round block runs it
+whole, halts included.  A block ends at its draw window's end, at the round
+cap, at the first round with no live processor, and before the round whose
+records settle the pool, found before anything is committed.  From that
+round on, each block is one round.
 """
 
 from __future__ import annotations
@@ -391,8 +393,9 @@ def run(
                 gossip_drops)))
             nobody = active[:0]
         cuts = requests.rnd.searchsorted(edges).tolist()
-        for r, lo, hi, merged in zip(range(rnd, end), cuts, cuts[1:],
-                                     _by_round(inbox, edges)):
+        heard = inbox.rnd.searchsorted(edges).tolist()
+        for r, lo, hi, first, last in zip(range(rnd, end), cuts, cuts[1:],
+                                          heard, heard[1:]):
             acting = pairs_pid[lo:hi]
             if trace is not None:
                 events = ((flipped, enlightened_now, level_reset) if r == rnd
@@ -401,11 +404,17 @@ def run(
             if check_invariants:
                 known_before = pop.known[acting]
             pop.known[acting, acting] = r
-            halted = protocol.gossip_compute(pop, acting, merged, pool)
-            for pid in halted.tolist():
-                metrics.per_processor_halt_round[pid] = r
-            if trace is not None:
-                trace.emit(r, "gossip", "compute", "halt", halted)
+            if end > rnd + 1:
+                # Nobody professes before the pool settles, so gossip
+                # compute is the round's merge alone.
+                protocol.merge_knowledge(pop.known, inbox.dst[first:last],
+                                         inbox.src[first:last])
+            else:
+                halted = protocol.gossip_compute(pop, acting, inbox, pool)
+                for pid in halted.tolist():
+                    metrics.per_processor_halt_round[pid] = r
+                if trace is not None:
+                    trace.emit(r, "gossip", "compute", "halt", halted)
             if check_invariants:
                 assert np.all(pop.known[acting] >= known_before), (
                     f"knowledge shrank in round {r}"
@@ -430,7 +439,8 @@ def run(
 
 
 def _by_round(messages: Messages, edges: np.ndarray) -> list[Messages]:
-    """A set of messages ordered by round, split at the rounds ``edges``."""
+    """A set of messages ordered by round, split at the rounds ``edges``, for
+    the trace."""
     if len(edges) == 2:  # all of them are in the one round
         return [messages]
     cuts = messages.rnd.searchsorted(edges).tolist()

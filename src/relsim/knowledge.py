@@ -31,12 +31,9 @@ only the records after it -- a contiguous suffix of the pool's arrays --
 differ between rows.  Per-target facts about the whole pool, kept up to
 date as each round's records arrive, answer everything before the cut:
 each target's record and correct counts, its first crash round, and the
-round and value at which its correct count crosses the threshold.  Both
-queries share one replay of the suffix after the smallest cut of a batch.
-
-Literal record sets can be reconstructed with :meth:`records_for`; tests
-compare the two representations against a straight-line reference
-implementation on small populations.
+round and value at which its correct count crosses the threshold.  After
+the smallest cut of a batch, ``satisfied`` counts each open target's known
+correct and crash records, and ``estimate_all`` replays them in order.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ import math
 
 import numpy as np
 
-from .estimator import CRASHED, ResultRecord
+from .estimator import CRASHED
 
 # Round of an event that has not happened: a target never crossing the
 # threshold or never reported crashed.
@@ -258,18 +255,21 @@ class RecordPool:
         """
         when = np.minimum(self._cross_round, self._first_crash).astype(np.int64)
         open_ = when == _NEVER
-        correct = res == 1
+        correct, crash = res == 1, res == -1
         base = self._total_correct
         hits = np.bincount(tgt[correct], minlength=self.n)
         crossed = open_ & (base + hits >= self.needed)
+        # Most blocks leave some target without a crossing or a crash record.
+        reached = crossed | ~open_
+        reached[tgt[crash]] = True
+        if not reached.all():
+            return None
         targets, at, _ = self._crossings(tgt, correct, crossed, base)
         when[targets] = rnd[at]
         # A target settled before these records keeps its earlier round.
-        crash = res == -1
         targets, first = _firsts(tgt[crash], rnd[crash])
         when[targets] = np.minimum(when[targets], first)
-        settled = int(when.max())
-        return None if settled == _NEVER else settled
+        return int(when.max())
 
     def newest(self, creators: np.ndarray) -> np.ndarray:
         """Round of each creator's newest record (-1 for none)."""
@@ -293,6 +293,22 @@ class RecordPool:
         """Index of the first record of a round after ``cut``."""
         return int(self._rnd[:self._count].searchsorted(np.int32(cut), side="right"))
 
+    def _open(self, cut: int):
+        """The records after ``cut`` about the targets open at it (neither
+        crossed nor crashed), grouped by target in creation order: those
+        targets, their groups' bounds, each one's correct count up to the
+        cut, and the records' creators, rounds and res values."""
+        start = self._suffix(cut)
+        tgt = self._tgt[start:self._count]
+        hard = np.minimum(self._cross_round, self._first_crash) > cut
+        pick = np.flatnonzero(hard[tgt])
+        pick = pick[np.argsort(tgt[pick], kind="stable")] + start
+        targets, bounds = runs(self._tgt[pick])
+        res = self._res[pick]
+        before_correct = (self._total_correct[targets]
+                          - np.add.reduceat(res == 1, bounds[:-1]))
+        return targets, bounds, before_correct, self._src[pick], self._rnd[pick], res
+
     def _replay(self, known: np.ndarray, cut: int):
         """Estimates of the targets that neither crossed nor crashed by
         ``cut``, for a block of rows that each know every record of a round
@@ -300,21 +316,14 @@ class RecordPool:
         row: ``gamma1 / N`` at the row's crossing, ``CRASHED`` on a known
         crash record, NaN otherwise.
         """
-        start = self._suffix(cut)
-        tgt = self._tgt[start:self._count]
-        hard = np.minimum(self._cross_round, self._first_crash) > cut
-        pick = np.flatnonzero(hard[tgt])
-        pick = pick[np.argsort(tgt[pick], kind="stable")] + start
-        targets, bounds = runs(self._tgt[pick])
+        targets, bounds, before_correct, src, rnd, res = self._open(cut)
         starts = bounds[:-1]
-        src, rnd, res = self._src[pick], self._rnd[pick], self._res[pick]
         correct, crash = res == 1, res == -1
         # The records up to the cut are all known, and none crosses.
         before = self._total[targets] - np.diff(bounds)
-        before_correct = self._total_correct[targets] - np.add.reduceat(correct, starts)
         values = np.full((len(known), targets.size), np.nan)
         # Rows in blocks, so the rows x records arrays stay small.
-        step = max(1, _MASK_CELLS // max(1, pick.size))
+        step = max(1, _MASK_CELLS // max(1, src.size))
         for i in range(0, len(known), step):
             knows = known[i:i + step, src] >= rnd
             crossed, prior = _crossing(bounds, knows & correct, before_correct,
@@ -334,10 +343,21 @@ class RecordPool:
         rows = len(known)
         if not rows or not self.globally_estimable():
             return np.zeros(rows, dtype=bool)
-        # Every target has a settling record, so each target left out of the
-        # replay settled by the cut.
-        _, values = self._replay(known, int(self._cut(known).min()))
-        return ~np.isnan(values).any(axis=1)
+        # Every target has a settling record, so a target open at the cut has
+        # records after it, and a row knows every record up to the cut.
+        _, bounds, before_correct, src, rnd, res = self._open(
+            int(self._cut(known).min()))
+        starts = bounds[:-1]
+        correct, crash = res == 1, res == -1
+        needed = self.needed - before_correct
+        ok = np.empty(rows, dtype=bool)
+        step = max(1, _MASK_CELLS // max(1, src.size))
+        for i in range(0, rows, step):
+            knows = known[i:i + step, src] >= rnd
+            settled = np.add.reduceat(knows & correct, starts, axis=1) >= needed
+            settled |= np.logical_or.reduceat(knows & crash, starts, axis=1)
+            ok[i:i + step] = settled.all(axis=1)
+        return ok
 
     def satisfies(self, known: np.ndarray) -> bool:
         """Whether the knowledge vector ``known`` settles every target."""
@@ -370,18 +390,3 @@ class RecordPool:
             row, col = np.nonzero(rows[i:i + step, src] >= rnd)
             estimates[i + row, tgt[col]] = CRASHED
         return estimates if known.ndim == 2 else estimates[0]
-
-    def records_for(self, known: np.ndarray, target: int) -> set[ResultRecord]:
-        """Reconstruct the literal record set about ``target``."""
-        src, rnd, tgt, res = (a[:self._count] for a in
-                              (self._src, self._rnd, self._tgt, self._res))
-        sel = (tgt == target) & (known[src] >= rnd)
-        return {
-            ResultRecord(int(v), int(s), int(r))
-            for v, s, r in zip(res[sel], src[sel], rnd[sel])
-        }
-
-    def all_records_for(self, known: np.ndarray) -> list[set[ResultRecord]]:
-        """Literal per-target record sets for a whole knowledge vector."""
-        return [self.records_for(known, j) for j in range(self.n)]
-

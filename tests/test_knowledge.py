@@ -12,7 +12,10 @@ from relsim.estimator import (
     estimation,
     gamma1,
 )
+from relsim import knowledge
 from relsim.knowledge import RecordPool, empty_knowledge, merge_knowledge
+
+from pool_records import all_records_for, records_for
 
 PARAMS = EstimationParams(0.5, 0.1)
 G1 = gamma1(PARAMS)
@@ -61,7 +64,7 @@ def test_estimate_all_matches_record_set_estimator(seed):
     for _ in range(8):
         known = _random_known(rng, last)
         batch = pool.estimate_all(known)
-        reference = estimation(pool.all_records_for(known), PARAMS)
+        reference = estimation(all_records_for(pool, known), PARAMS)
         for j in range(n):
             if reference[j] is UNDETERMINED:
                 assert math.isnan(batch[j])
@@ -77,7 +80,7 @@ def test_satisfies_matches_brute_force():
     checked_true = checked_false = 0
     for _ in range(30):
         known = _random_known(rng, last)
-        records = pool.all_records_for(known)
+        records = all_records_for(pool, known)
         expected = all(
             sum(1 for r in records[j] if r.res == 1) >= needed
             or any(r.res == -1 for r in records[j])
@@ -106,10 +109,10 @@ def test_records_round_trip():
     pool.add_record(1, 0, 2, 0)
     pool.add_record(2, 0, 1, -1)
     known = np.array([0, 0, -1], dtype=np.int32)
-    assert pool.records_for(known, 2) == {(1, 0, 0), (0, 1, 0)}
-    assert pool.records_for(known, 1) == set()
+    assert records_for(pool, known, 2) == {(1, 0, 0), (0, 1, 0)}
+    assert records_for(pool, known, 1) == set()
     known[2] = 0
-    assert pool.records_for(known, 1) == {(-1, 2, 0)}
+    assert records_for(pool, known, 1) == {(-1, 2, 0)}
 
 
 def test_snapshot_semantics_shared_message_not_mutated():
@@ -178,13 +181,13 @@ def _brute_satisfies(pool, known):
     return all(
         sum(r.res == 1 for r in records) >= pool.needed
         or any(r.res == -1 for r in records)
-        for records in pool.all_records_for(known)
+        for records in all_records_for(pool, known)
     )
 
 
 def _assert_estimates_match(pool, known):
     batch = pool.estimate_all(known)
-    reference = estimation(pool.all_records_for(known), SMALL)
+    reference = estimation(all_records_for(pool, known), SMALL)
     for j, want in enumerate(reference):
         if want is UNDETERMINED:
             assert math.isnan(batch[j])
@@ -237,6 +240,13 @@ def test_cut_queries_match_brute_force(seed, n, rounds, skip, crash):
         for known, estimates in zip(rows, batch):
             assert np.array_equal(estimates, pool.estimate_all(known), equal_nan=True)
             _assert_estimates_match(pool, known)
+
+
+def test_cut_queries_match_brute_force_across_row_blocks(monkeypatch):
+    # Eight cells per block: satisfied and estimate_all take a batch's rows
+    # a few at a time, or one at a time once a suffix has more records.
+    monkeypatch.setattr(knowledge, "_MASK_CELLS", 8)
+    test_cut_queries_match_brute_force()
 
 
 FACTS = ("_total", "_total_correct", "_first_crash", "_cross_round", "_cross_value",
@@ -309,3 +319,37 @@ def test_multi_round_add_matches_round_by_round(seed, n, rounds, skip, crash, lo
     last = np.full(n, rounds - 1, dtype=np.int32)
     assert np.array_equal(blocked.estimate_all(last), by_round.estimate_all(last),
                           equal_nan=True)
+
+
+def _first_target_crossed():
+    """A pool of two workers whose target 0 crossed in round ``needed - 1``
+    and whose target 1 has no records."""
+    pool = RecordPool(2, gamma1(SMALL))
+    for rnd in range(pool.needed):
+        pool.add_records([0], rnd, [0], [1])
+    return pool
+
+
+def test_settling_round_none_while_a_target_stays_open():
+    # Target 1 gets correct records short of the threshold and no crash
+    # record; target 0, settled already, gets a crash record.
+    pool = _first_target_crossed()
+    r = pool.needed
+    rnd, tgt, res = np.array([r, r, r + 1, r + 1]), [1, 0, 1, 0], [1, -1, 1, 0]
+    assert pool.settling_round(rnd, np.array(tgt), np.array(res)) is None
+    pool.add_records([0, 1], r, tgt[:2], res[:2])
+    pool.add_records([0, 1], r + 1, tgt[2:], res[2:])
+    assert not pool.globally_estimable()
+
+
+def test_settling_round_at_a_crash_record_of_the_last_open_target():
+    # Target 1, the last open one, gets one correct record and then, in
+    # round r + 1, a crash record; the block goes on to round r + 2.
+    pool = _first_target_crossed()
+    r = pool.needed
+    rnd, tgt, res = np.array([r, r + 1, r + 2, r + 2]), [1, 1, 0, 1], [1, -1, 1, -1]
+    assert pool.settling_round(rnd, np.array(tgt), np.array(res)) == r + 1
+    pool.add_records([0], r, tgt[:1], res[:1])
+    assert not pool.globally_estimable()
+    pool.add_records([1], r + 1, tgt[1:2], res[1:2])
+    assert pool.globally_estimable()

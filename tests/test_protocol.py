@@ -22,6 +22,8 @@ from relsim.protocol import (
 )
 from relsim.streams import StreamWindow
 
+from pool_records import records_for
+
 PARAMS = EstimationParams(0.5, 0.1)
 G1 = gamma1(PARAMS)
 
@@ -178,12 +180,12 @@ class TestResponse:
     def test_correct_response_recorded(self):
         pool, pop, res = self._receive(True)
         assert res.tolist() == [1]
-        assert pool.records_for(pop.known[1], 2) == {(1, 1, 0)}
+        assert records_for(pool, pop.known[1], 2) == {(1, 1, 0)}
 
     def test_missing_response_records_crash_mark(self):
         pool, pop, res = self._receive(None)
         assert res.tolist() == [-1]
-        assert {r.res for r in pool.records_for(pop.known[1], 2)} == {-1}
+        assert {r.res for r in records_for(pool, pop.known[1], 2)} == {-1}
 
     def test_incorrect_response(self):
         _, _, res = self._receive(False)
@@ -299,7 +301,7 @@ class TestGossip:
         halted = gossip_compute(pop, ids(0, 1), share(1, 0), pool)
         assert halted.size == 0 and not pop.halted.any()
         assert pop.known[0, 1] == pop.known[1, 1]
-        assert len(pool.records_for(pop.known[0], 2)) == 3
+        assert len(records_for(pool, pop.known[0], 2)) == 3
 
     def test_merge_is_idempotent(self):
         n = 4
@@ -307,6 +309,6 @@ class TestGossip:
         fill_correct(pool, pop, {1: (2, 3)})
         gossip_compute(pop, ids(0, 1), gossip([1, 1], [0, 0], [0, 0], [False, False]),
                        pool)
-        before = pool.records_for(pop.known[0], 2)
+        before = records_for(pool, pop.known[0], 2)
         gossip_compute(pop, ids(0, 1), share(1, 0), pool)
-        assert pool.records_for(pop.known[0], 2) == before
+        assert records_for(pool, pop.known[0], 2) == before

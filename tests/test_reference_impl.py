@@ -28,6 +28,7 @@ from relsim.engine import RunConfig, run
 from relsim.estimator import UNDETERMINED, EstimationParams
 from relsim.protocol import Population
 
+from pool_records import all_records_for
 from straightline import run_reference
 
 
@@ -125,6 +126,24 @@ def test_block_edge_cases_reach_their_edges():
     assert result.metrics.rounds_to_all_halt == max(result.schedule.crash_round.values())
 
 
+@pytest.mark.parametrize("name", sorted(BLOCK_EDGES) + ["fp-upfront"])
+def test_tracing_and_invariant_checks_change_no_result(name):
+    # Traced and checked runs step their blocks the same way as plain ones.
+    config = BLOCK_EDGES.get(name) or RunConfig(
+        n=64, params=EstimationParams(0.5, 0.1), model=FractionalPolynomial(0.5),
+        crash_pattern=UpfrontCrashes(), seed=1)
+    plain = run(config, keep_states=True)
+    for other in (run(config, collect_trace=True, keep_states=True),
+                  run(config, check_invariants=True, keep_states=True)):
+        assert other.completion == plain.completion
+        # Every counter, the halt rounds among them.
+        assert other.metrics == plain.metrics
+        assert other.estimates.keys() == plain.estimates.keys()
+        for pid, estimates in plain.estimates.items():
+            assert np.array_equal(other.estimates[pid], estimates, equal_nan=True)
+        assert np.array_equal(other.known, plain.known)
+
+
 def test_knowledge_matrix_width_follows_round_cap():
     # Rounds below the cap are stored, so a cap of 32768 still fits int16.
     assert run(BLOCK_EDGES["int32-known"], keep_states=True).known.dtype == np.int32
@@ -152,7 +171,7 @@ def test_final_knowledge_sets_match():
     production = run(config, keep_states=True)
     for pid in range(config.n):
         expected = reference.knowledge[pid]
-        reconstructed = production.pool.all_records_for(production.known[pid])
+        reconstructed = all_records_for(production.pool, production.known[pid])
         for j in range(config.n):
             assert reconstructed[j] == expected[j], (pid, j)
 
