@@ -24,7 +24,6 @@ from .adversary import (
     UpfrontCrashes,
     assign_probabilities,
     generate_crash_schedule,
-    validate_schedule,
 )
 from .engine import ConfigError, RunConfig, RunResult, rng_stream, run
 from .estimator import (
@@ -79,7 +78,6 @@ __all__ = [
     "run",
     "scaling_fit",
     "sra_run",
-    "validate_schedule",
 ]
 
 __version__ = "0.1.0"

@@ -4,6 +4,9 @@ Everything here is decided before a run starts, as a pure function of
 ``(n, model, pattern, seed)``: the adversary never observes protocol state
 or coin flips.  Outputs are immutable once generated and can be shared
 freely across threads.
+
+Every spec rejects its own out-of-range values when constructed, and
+:func:`max_crashes` alone holds a model's survivor floor against n.
 """
 
 from __future__ import annotations
@@ -26,16 +29,30 @@ class AdversaryDomainError(ValueError):
 class ConstantReliability:
     p: float
 
+    def __post_init__(self):
+        if not (0.0 < self.p <= 1.0):
+            raise AdversaryDomainError(f"constant p must be in (0, 1], got {self.p}")
+
 
 @dataclass(frozen=True)
 class UniformReliability:
     lo: float
     hi: float
 
+    def __post_init__(self):
+        if not (0.0 < self.lo <= self.hi <= 1.0):
+            raise AdversaryDomainError(
+                f"uniform range must satisfy 0 < lo <= hi <= 1, got [{self.lo}, {self.hi}]"
+            )
+
 
 @dataclass(frozen=True)
 class ExplicitReliability:
     values: tuple[float, ...]
+
+    def __post_init__(self):
+        if not all(0.0 < v <= 1.0 for v in self.values):
+            raise AdversaryDomainError("explicit values must lie in (0, 1]")
 
 
 ReliabilitySpec = Union[ConstantReliability, UniformReliability, ExplicitReliability]
@@ -71,14 +88,8 @@ def assign_probabilities(
     if n < 1:
         raise AdversaryDomainError(f"n must be >= 1, got {n}")
     if isinstance(spec, ConstantReliability):
-        if not (0.0 < spec.p <= 1.0):
-            raise AdversaryDomainError(f"constant p must be in (0, 1], got {spec.p}")
         values = np.full(n, spec.p, dtype=np.float64)
     elif isinstance(spec, UniformReliability):
-        if not (0.0 < spec.lo <= spec.hi <= 1.0):
-            raise AdversaryDomainError(
-                f"uniform range must satisfy 0 < lo <= hi <= 1, got [{spec.lo}, {spec.hi}]"
-            )
         values = rng.uniform(spec.lo, spec.hi, size=n)
     elif isinstance(spec, ExplicitReliability):
         if len(spec.values) != n:
@@ -86,8 +97,6 @@ def assign_probabilities(
                 f"explicit list has {len(spec.values)} entries, expected {n}"
             )
         values = np.asarray(spec.values, dtype=np.float64)
-        if not np.all((values > 0.0) & (values <= 1.0)):
-            raise AdversaryDomainError("explicit values must lie in (0, 1]")
     else:
         raise AdversaryDomainError(f"unknown reliability spec {spec!r}")
     return ReliabilityAssignment(values)
@@ -187,13 +196,6 @@ class CrashSchedule:
 
     crash_round: dict[int, int]
 
-    def is_live(self, pid: int, rnd: int) -> bool:
-        r = self.crash_round.get(pid)
-        return r is None or r > rnd
-
-    def survivors(self, n: int) -> int:
-        return n - len(self.crash_round)
-
 
 def max_crashes(n: int, model: AdversaryModel) -> int:
     """Largest crash count the model permits for a population of ``n``."""
@@ -230,24 +232,3 @@ def generate_crash_schedule(
     else:
         raise AdversaryDomainError(f"unknown crash pattern {pattern!r}")
     return CrashSchedule({int(v): int(r) for v, r in zip(victims, rounds)})
-
-
-@dataclass(frozen=True)
-class ScheduleReport:
-    """Outcome of checking a schedule against a model's survivor bound."""
-
-    ok: bool
-    survivors: int
-    required: float
-    margin: float
-
-
-def validate_schedule(
-    schedule: CrashSchedule, model: AdversaryModel, n: int
-) -> ScheduleReport:
-    """Check the survivor count against the model inequality."""
-    survivors = schedule.survivors(n)
-    required = model.survivor_floor(n)
-    margin = survivors - required
-    return ScheduleReport(ok=margin >= -1e-9, survivors=survivors,
-                          required=required, margin=margin)

@@ -22,6 +22,8 @@ whole, halts included.  A block ends at its draw window's end, at the round
 cap, at the first round with no live processor, and before the round whose
 records settle the pool, found before anything is committed.  From that
 round on, each block is one round.
+
+A :class:`RunConfig` checks itself when constructed; a run takes it as given.
 """
 
 from __future__ import annotations
@@ -91,17 +93,18 @@ class RunConfig:
             return 64 * max(1, ceil_log2(self.n))
         return 8 * self.n
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # Also runs in replace().  The params and specs check themselves.
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if gamma1(self.params) <= 1.0:
-            raise ConfigError(
-                "stopping threshold must exceed 1; pick a smaller delta"
-            )
+        if (isinstance(self.reliability, ExplicitReliability)
+                and len(self.reliability.values) != self.n):
+            raise ConfigError(f"explicit list has {len(self.reliability.values)} "
+                              f"entries, expected {self.n}")
         # Raises AdversaryDomainError if the model needs more survivors than n.
         max_crashes(self.n, self.model)
 
@@ -281,7 +284,6 @@ def run(
     (knowledge monotonicity, level 0 while unenlightened); intended for
     small-population test runs.
     """
-    config.validate()
     n = config.n
     seed = config.seed
     max_rounds = config.effective_max_rounds()

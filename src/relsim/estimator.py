@@ -19,7 +19,8 @@ mass yields the distinguished :data:`UNDETERMINED` value rather than an
 error, so callers can surface insufficiency instead of crashing on small
 populations.
 
-All functions here are pure and safe to call concurrently.
+Each :class:`EstimationParams` has ``1 < gamma1 < inf``, checked once when
+constructed.  All functions here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ class EstimationParams:
     """Relative-error bound and failure probability of the estimator.
 
     ``epsilon`` must lie strictly inside (0, 1); ``delta`` must be positive
-    and finite; and together they must give a finite stopping threshold
-    :func:`gamma1`, which a tiny epsilon or delta overflows.
+    and finite; and together they must give a stopping threshold
+    :func:`gamma1` with ``1 < gamma1 < inf``.  It exceeds 1 only when delta
+    is below 2, and a tiny epsilon or delta overflows it.
     """
 
     epsilon: float
@@ -102,15 +104,11 @@ class EstimationParams:
         if not 0.0 < self.delta < math.inf:
             raise ParameterDomainError(f"delta must be finite and > 0, got {self.delta}")
         # epsilon**2 underflows to 0 below about 1e-162.
-        if not (self.epsilon**2 > 0.0 and math.isfinite(gamma1(self))):
+        if not (self.epsilon**2 > 0.0 and 1.0 < gamma1(self) < math.inf):
             raise ParameterDomainError(
-                f"epsilon {self.epsilon} and delta {self.delta} give no finite "
-                "stopping threshold"
+                f"epsilon {self.epsilon} and delta {self.delta} give no stopping "
+                "threshold in (1, inf)"
             )
-
-    @property
-    def lam(self) -> float:
-        return LAMBDA
 
 
 class ResultRecord(NamedTuple):
@@ -152,10 +150,6 @@ def sra_run(
     exhausted first.
     """
     g1 = gamma1(params)
-    if g1 <= 0.0:
-        raise ParameterDomainError(
-            f"stopping threshold {g1:.6g} is not positive; delta too large"
-        )
     total = 0.0
     count = 0
     for z in sample_source:
@@ -184,11 +178,6 @@ def estimate_one(
     history never reaches the threshold.
     """
     g1 = gamma1(params)
-    if g1 <= 1.0:
-        raise ParameterDomainError(
-            f"stopping threshold {g1:.6g} <= 1 leaves no valid prefix; "
-            "delta too large"
-        )
     recs = list(records)
     if any(r.res == -1 for r in recs):
         return CRASHED
@@ -197,7 +186,7 @@ def estimate_one(
     for index, rec in enumerate(recs):
         total += rec.res
         if total >= g1:
-            # g1 > 1 and res <= 1 guarantee the crossing index is >= 1.
+            # EstimationParams keeps g1 > 1, and res <= 1, so index >= 1.
             return g1 / index
     return UNDETERMINED
 

@@ -171,9 +171,7 @@ def config_from_args(args) -> RunConfig:
     merged.setdefault("delta", 0.1)
     if "n" not in merged:
         raise UsageError("--n (or a config file with n) is required")
-    config = RunConfig.from_dict(merged)
-    config.validate()
-    return config
+    return RunConfig.from_dict(merged)
 
 
 def _output(path: Path, make_parent: bool = False):
@@ -289,8 +287,7 @@ class ExperimentSpec:
             b <= a for a, b in zip(self.grid, self.grid[1:])
         ):
             raise UsageError("grid must be nonempty and strictly increasing")
-        for _, config in self.points():
-            config.validate()
+        self.points()  # every point's config checks itself
 
     def points(self) -> list[tuple[int, RunConfig]]:
         """(trial, config) of every run, by n then trial; trial t runs at

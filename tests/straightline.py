@@ -84,14 +84,18 @@ def run_reference(config) -> RefRun:
          "dropped_requests", "delivered", "dropped_to_crashed",
          "dropped_to_halted"), 0)
 
+    def live(pid, rnd):
+        # Not yet crashed: a worker is gone from its crash round on.
+        return schedule.crash_round.get(pid, rnd + 1) > rnd
+
     def alive(pid, rnd):
-        return schedule.is_live(pid, rnd) and not procs[pid].halted
+        return live(pid, rnd) and not procs[pid].halted
 
     def route(pid, rnd):
         # Ledger of one send; True when it is delivered.
         if alive(pid, rnd):
             counters["delivered"] += 1
-        elif not schedule.is_live(pid, rnd):
+        elif not live(pid, rnd):
             counters["dropped_to_crashed"] += 1
         else:
             counters["dropped_to_halted"] += 1
@@ -144,7 +148,7 @@ def run_reference(config) -> RefRun:
                 res = 1 if responses[pr.pid][q] else 0
             else:
                 res = -1
-                if schedule.is_live(q, rnd):
+                if live(q, rnd):
                     counters["false_crash_detections"] += 1
             pr.knowledge[q] = pr.knowledge[q] | {ResultRecord(res, pr.pid, rnd)}
             pr.pending = None

@@ -36,19 +36,19 @@ def records_all_ones(count):
 class TestParams:
     def test_lambda_constant(self):
         assert LAMBDA == math.e - 2.0
-        assert EstimationParams(0.5, 0.1).lam == LAMBDA
 
     def test_epsilon_must_be_below_one(self):
         with pytest.raises(ParameterDomainError):
             EstimationParams(1.0, 2.0)
 
-    # The last five: delta inf or nan, a gamma1 that overflows to inf
-    # (through delta or epsilon), and an epsilon**2 that underflows to 0.
+    # From the sixth: delta inf or nan, a gamma1 that overflows to inf
+    # (through delta or epsilon), an epsilon**2 that underflows to 0, and
+    # a delta of 2 or more, which leaves gamma1 at or below 1.
     @pytest.mark.parametrize("eps,delta", [(0.0, 0.1), (-0.1, 0.1), (0.5, 0.0),
                                            (0.5, -1.0), (1.5, 0.1),
                                            (0.5, math.inf), (0.5, math.nan),
                                            (0.5, 1e-320), (1e-160, 0.1),
-                                           (1e-200, 0.1)])
+                                           (1e-200, 0.1), (0.5, 2.0), (0.5, 3.0)])
     def test_rejects_out_of_domain(self, eps, delta):
         with pytest.raises(ParameterDomainError):
             EstimationParams(eps, delta)

@@ -223,10 +223,12 @@ class TestPSpec:
                 parse_p_spec(text)
 
 
-# Runs whose config is rejected; the last needs more survivors (log2(4)**3)
-# than it has workers.
+# Runs whose config is rejected; the third needs more survivors
+# (log2(4)**3) than it has workers, and the last gives 2 values for 3 workers.
 REJECTED_RUNS = [["--n", "0"], ["--n", "8", "--epsilon", "1.5"],
-                 ["--n", "4", "--model", "pl", "--c", "3"]]
+                 ["--n", "4", "--model", "pl", "--c", "3"],
+                 ["--n", "8", "--p-spec", "constant:1.5"],
+                 ["--n", "3", "--p-spec", "explicit:0.5,0.5"]]
 
 
 class TestTraceArtifacts:
@@ -519,7 +521,8 @@ class TestSweep:
     @pytest.mark.parametrize("flags", [
         ["--grid", "2,4", "--model", "pl", "--c", "3"],
         ["--grid", "8", "--seed", str(2**64 - 1), "--trials", "2"],
-    ], ids=["survivors-exceed-n", "seed-passes-2**64"])
+        ["--grid", "4,8", "--p-spec", "explicit:0.5,0.5,0.5,0.5"],
+    ], ids=["survivors-exceed-n", "seed-passes-2**64", "explicit-list-misses-n"])
     def test_rejected_sweep_point_leaves_no_csv(self, tmp_path, flags, capsys):
         # The first point of each sweep is valid; a later one is not.
         out = tmp_path / "out"
