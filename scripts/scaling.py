@@ -24,7 +24,7 @@ from pathlib import Path
 from relsim.adversary import FractionalPolynomial, LinearFraction, UpfrontCrashes
 from relsim.engine import RunConfig
 from relsim.estimator import EstimationParams
-from relsim.harness import ExperimentSpec, sweep, write_sweep_csv
+from relsim.harness import ExperimentSpec, exit_status, sweep, write_sweep_csv
 from relsim.metrics import scaling_fit
 
 # Per model, the defaults of the flags left unset; --f and --a each belong
@@ -112,4 +112,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_status(main))

@@ -11,7 +11,7 @@ import argparse
 from relsim.adversary import LinearFraction, NoCrashes, UniformReliability
 from relsim.engine import RunConfig
 from relsim.estimator import EstimationParams
-from relsim.harness import ExperimentSpec, sweep
+from relsim.harness import ExperimentSpec, exit_status, sweep
 
 
 def main() -> int:
@@ -45,4 +45,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_status(main))

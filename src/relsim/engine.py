@@ -13,15 +13,15 @@ processor, round, stage), evaluated a window of rounds at a time by
 Until the record pool settles globally, nobody is enlightened, professes or
 halts, so a round's queries, serving, records and share sends depend only on
 the crash schedule and the draws.  The engine therefore steps rounds in
-blocks: each step runs once over a block's (round, processor) pairs, and a
-short loop then does, round by round, what depends on the round before: a
-processor's own newest record in its knowledge row, the round's knowledge
-merges and its trace lines.  In a block of more than one round nobody
-professes, so gossip compute is the merge alone; a one-round block runs it
-whole, halts included.  A block ends at its draw window's end, at the round
-cap, at the first round with no live processor, and before the round whose
-records settle the pool, found before anything is committed.  From that
-round on, each block is one round.
+blocks: each step runs once over a block's (round, processor) pairs.  In a
+block of more than one round gossip compute is the merge of the block's
+shares alone, one call that applies them in runs of rounds, after which each
+processor's newest own record goes into its knowledge row; only trace lines
+go round by round.  A one-round block runs gossip compute whole, halts
+included.  A block ends at its draw window's end, at the round cap, at the
+first round with no live processor, and before the round whose records
+settle the pool, found before anything is committed.  From that round on,
+each block is one round.
 
 A :class:`RunConfig` checks itself when constructed; a run takes it as given.
 """
@@ -54,7 +54,7 @@ from .adversary import (
     max_crashes,
 )
 from .estimator import EstimationParams, gamma1
-from .knowledge import RecordPool
+from .knowledge import RecordPool, snapshot_runs
 from .metrics import RunMetrics
 from .protocol import NO_MESSAGES, Messages, Population, ceil_log2
 from .streams import SEED_LIMIT, StreamWindow, rng_stream
@@ -387,43 +387,43 @@ def run(
         count_route(gossip, gossip_drops, pop, metrics)
         enlightened_now, level_reset = protocol.gossip_receive(pop, active, inbox)
 
-        # ---- round by round: own records, knowledge merges and halts --------
-        edges = np.arange(rnd, end + 1)
-        if trace is not None:
-            traced = zip(*(_by_round(m, edges) for m in (
-                requests, received, request_drops, responses, gossip, inbox,
-                gossip_drops)))
+        # ---- gossip compute: own records, knowledge merges and halts --------
+        if trace is not None:  # round by round: the trace reads no knowledge
+            edges = np.arange(rnd, end + 1)
             nobody = active[:0]
-        cuts = requests.rnd.searchsorted(edges).tolist()
-        heard = inbox.rnd.searchsorted(edges).tolist()
-        for r, lo, hi, first, last in zip(range(rnd, end), cuts, cuts[1:],
-                                          heard, heard[1:]):
-            acting = pairs_pid[lo:hi]
-            if trace is not None:
+            for r, *steps in zip(range(rnd, end), *(_by_round(m, edges) for m in (
+                    requests, received, request_drops, responses, gossip, inbox,
+                    gossip_drops))):
                 events = ((flipped, enlightened_now, level_reset) if r == rnd
                           else (nobody,) * 3)
-                _trace_round(r, *next(traced), *events, pop, trace)
-            if check_invariants:
-                known_before = pop.known[acting]
-            pop.known[acting, acting] = r
-            if end > rnd + 1:
-                # Nobody professes before the pool settles, so gossip
-                # compute is the round's merge alone.
-                protocol.merge_knowledge(pop.known, inbox.dst[first:last],
-                                         inbox.src[first:last])
-            else:
-                halted = protocol.gossip_compute(pop, acting, inbox, pool)
-                for pid in halted.tolist():
-                    metrics.per_processor_halt_round[pid] = r
-                if trace is not None:
-                    trace.emit(r, "gossip", "compute", "halt", halted)
-            if check_invariants:
-                assert np.all(pop.known[acting] >= known_before), (
-                    f"knowledge shrank in round {r}"
-                )
-                assert np.all(pop.enlightened[acting] | (pop.level[acting] == 0)), (
-                    f"an unenlightened processor has a nonzero level in round {r}"
-                )
+                _trace_round(r, *steps, *events, pop, trace)
+        if check_invariants:
+            known_before = pop.known[active]
+        if end > rnd + 1:
+            # Nobody professes before the pool settles: gossip compute is the
+            # merges alone, checked run by run (a run writes each row at most once).
+            cuts = (snapshot_runs(inbox.dst, inbox.src, inbox.rnd) if check_invariants
+                    else [0, len(inbox)])
+            for lo, hi in zip(cuts, cuts[1:]):
+                shares = inbox.take(slice(lo, hi))
+                before = pop.known[shares.dst] if check_invariants else None
+                protocol.merge_knowledge(pop.known, shares.dst, shares.src, shares.rnd)
+                assert before is None or np.all(pop.known[shares.dst] >= before), (
+                    f"knowledge shrank in rounds {shares.rnd[0]}-{shares.rnd[-1]}")
+            pop.known[active, active] = np.minimum(pop.crash_round[active], end) - 1  # own records
+        else:
+            pop.known[active, active] = rnd
+            halted = protocol.gossip_compute(pop, active, inbox, pool)
+            for pid in halted.tolist():
+                metrics.per_processor_halt_round[pid] = rnd
+            if trace is not None:
+                trace.emit(rnd, "gossip", "compute", "halt", halted)
+        if check_invariants:
+            assert np.all(pop.known[active] >= known_before), (
+                f"knowledge shrank in rounds {rnd}-{end - 1}")
+            # Levels and flags change only in a block's first round.
+            assert np.all(pop.enlightened[active] | (pop.level[active] == 0)), (
+                f"an unenlightened processor has a nonzero level in rounds {rnd}-{end - 1}")
         rnd = end
 
     metrics.rounds_to_all_halt = rnd

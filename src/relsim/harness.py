@@ -464,23 +464,20 @@ def _cmd_replay(args) -> int:
     return 1
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def exit_status(command, *args) -> int:
+    """``command(*args)``, or 2 after printing ``error: ...`` if it raises
+    one of the errors of bad input."""
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-    except (UsageError, ConfigError, ParameterDomainError,
-            AdversaryDomainError) as exc:
+        return command(*args)
+    except (UsageError, ConfigError, ParameterDomainError, AdversaryDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
+    return exit_status({"run": _cmd_run, "sweep": _cmd_sweep, "verify": _cmd_verify,
+                        "replay": _cmd_replay}[args.command], args)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ knowledge of ``s``-created records is itself a round prefix.  A knowledge
 state is therefore fully described by one integer per creator: the highest
 round known (-1 for none).  Merging becomes an elementwise maximum and a
 snapshot is a cheap array copy, instead of copying record sets whose total
-size grows with the run.
+size grows with the run, and several rounds' shares merge as one snapshot
+per run of rounds that reads or rewrites no row written earlier in the run.
 
 Record *contents* -- which target each record is about and its res value --
 are stored once in a shared, append-only :class:`RecordPool`, in creation
@@ -67,14 +68,24 @@ def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[bounds[:-1]], bounds
 
 
-def merge_knowledge(known: np.ndarray, dst: np.ndarray, src: np.ndarray) -> None:
+def merge_knowledge(known: np.ndarray, dst: np.ndarray, src: np.ndarray,
+                    rnd=None) -> None:
     """Merge knowledge row ``src[i]`` into row ``dst[i]`` for every i, in place.
 
     Union of knowledge states is the elementwise maximum of round prefixes.
     Every row is read before any is written, so a row that is both sent and
     merged into contributes its value from before this merge, as a snapshot
-    taken at send time would.
+    taken at send time would.  Given rounds ``rnd`` (ascending), they are a
+    block's shares, one per sender and round at most, lacking their senders'
+    own records, and merge one :func:`snapshot_runs` run at a time.
     """
+    if rnd is not None:
+        cuts = snapshot_runs(dst, src, rnd)
+        for lo, hi in zip(cuts, cuts[1:]):
+            merge_knowledge(known, dst[lo:hi], src[lo:hi])
+            # The senders' records of the round, new to their destinations.
+            known[dst[lo:hi], src[lo:hi]] = rnd[lo:hi]
+        return
     if len(dst) <= 1:
         if len(dst):
             # One message, as in most rounds of a sparse population.
@@ -101,11 +112,40 @@ def merge_knowledge(known: np.ndarray, dst: np.ndarray, src: np.ndarray) -> None
     known[rows] = merged
 
 
+def snapshot_runs(dst: np.ndarray, src: np.ndarray, rnd: np.ndarray) -> list[int]:
+    """Bounds ``cuts`` of the runs of shares ``dst``, ``src`` sent in rounds
+    ``rnd`` (ascending), run ``i`` being ``[cuts[i], cuts[i + 1])``: each run
+    ends before a round reading or writing a row an earlier round of it
+    wrote, so it merges as one snapshot exactly as it would round by round."""
+    if not len(dst):
+        return [0]
+    rounds, bounds = runs(rnd)
+    at = rnd - rnd[0]
+    # written[(t + 1) * cols + c]: the last round <= t writing touched row c.
+    touched = np.zeros(max(dst.max(), src.max()) + 1, dtype=bool)
+    touched[dst] = touched[src] = True
+    column = touched.cumsum() - 1
+    cols = int(column[-1]) + 1
+    writes, reads = at * cols + column[dst], at * cols + column[src]
+    written = np.full((int(at[-1]) + 2) * cols, -1, dtype=np.int64)
+    written[writes + cols] = at
+    np.maximum.accumulate(written.reshape(-1, cols), axis=0, out=written.reshape(-1, cols))
+    # Per round, the last earlier round writing a row it reads or writes.
+    latest = np.maximum.reduceat(np.maximum(written[writes], written[reads]), bounds[:-1])
+    cuts, start = [], -1
+    for lo, r, last in zip(bounds.tolist(), (rounds - rnd[0]).tolist(), latest.tolist()):
+        if last >= start:
+            cuts.append(lo)
+            start = r
+    return cuts + [len(dst)]
+
+
 def _firsts(values: np.ndarray, rnd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct ``values`` and the round of each one's first occurrence,
     for ``rnd`` ascending."""
-    distinct, first = np.unique(values, return_index=True)
-    return distinct, rnd[first]
+    order = values.argsort(kind="stable")
+    distinct, bounds = runs(values[order])
+    return distinct, rnd[order[bounds[:-1]]]
 
 
 def _crossing(bounds: np.ndarray, correct: np.ndarray, base, needed: int, counted=True):

@@ -22,8 +22,8 @@ processor in id order.  Until the pool settles globally nobody is
 enlightened, professes or halts, so the engine hands every step but
 ``gossip_compute`` a block of consecutive rounds at once: the acting
 processors are then those of (round, processor) pairs, ordered by round,
-then id, and each message carries the round it is sent in.  Only the
-knowledge merges depend on the round before, and go round by round.
+then id, and each message carries the round it is sent in.  The block's
+merges, which depend on the round before, are one call given those rounds.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .knowledge import RecordPool, empty_knowledge, merge_knowledge
+from .knowledge import RecordPool, empty_knowledge, merge_knowledge, runs
 from .streams import StageDraws
 
 # Crash round of a processor that never crashes.
@@ -204,7 +204,7 @@ def response_compute(pop: Population, active: np.ndarray,
     waiting = active[~pop.enlightened[active]]
     rows = pop.known[waiting]
     # A processor knows every record it created; the engine writes its
-    # newest one into ``known`` just before the round's merge.
+    # newest one into ``known`` by the round's merge.
     rows[np.arange(waiting.size), waiting] = pool.newest(waiting)
     flipped = waiting[pool.satisfied(rows)]
     pop.enlightened[flipped] = True
@@ -229,9 +229,10 @@ def gossip_send(pop: Population, active: np.ndarray, draws: StageDraws) -> Messa
                         rnd=draws.rnd)
     sharers = np.flatnonzero(~professing)
     professors = np.flatnonzero(professing)
-    levels, inverse = np.unique(pop.level[active[professors]], return_inverse=True)
-    fanout = np.array([profess_fanout(v, pop.n) for v in levels.tolist()])
-    rows, dst = draws.fanout(professors, fanout[inverse.ravel()])
+    levels = pop.level[active[professors]]
+    distinct, _ = runs(np.sort(levels))
+    fanout = np.array([profess_fanout(v, pop.n) for v in distinct.tolist()])
+    rows, dst = draws.fanout(professors, fanout[distinct.searchsorted(levels)])
     if sharers.size:
         rows = np.concatenate((sharers, rows))
         order = np.argsort(rows, kind="stable")
@@ -258,7 +259,7 @@ def gossip_receive(pop: Population, active: np.ndarray,
         return active[:0], active[:0]
     n = pop.n
     professes = inbox.take(inbox.is_profess)
-    heard = np.unique(professes.dst)
+    heard, _ = runs(np.sort(professes.dst))
     enlightened_now = heard[~pop.enlightened[heard]]
     pop.enlightened[enlightened_now] = True
     best = np.full(n, -1, dtype=np.int64)
@@ -283,7 +284,7 @@ def gossip_compute(pop: Population, active: np.ndarray, inbox: Messages,
     final = inbox.is_profess & (inbox.level >= ceil_log2(pop.n))
     if not np.count_nonzero(final):
         return active[:0]
-    halting = np.unique(inbox.dst[final])
+    halting, _ = runs(np.sort(inbox.dst[final]))
     pop.estimates.update(zip(halting.tolist(), pool.estimate_all(pop.known[halting])))
     pop.halted[halting] = True
     return halting

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .knowledge import runs
+
 STAGE_CODE = {"query": 0, "response": 1, "gossip": 2}
 
 SEED_LIMIT = 1 << 64
@@ -47,25 +49,28 @@ _DOUBLES = 3
 def stream_key(seed: int, pid, rnd, stage) -> tuple[np.uint64, np.ndarray]:
     """Philox key ``(seed, pid << 34 | rnd << 4 | stage)`` as uint64 words.
 
-    ``pid`` and ``rnd`` may be integer arrays; the second word then has their
-    broadcast shape.  The one place where stream keys are built.
+    ``stage`` is a stage name or its code.  ``pid``, ``rnd`` and the code may
+    be integer arrays; the second word then has their broadcast shape.  The
+    one place where stream keys are built.
     """
-    code = STAGE_CODE.get(stage, stage)
-    if not isinstance(code, (int, np.integer)) or not 0 <= code < 16:
-        raise ValueError(f"invalid stage {stage!r}")
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    if isinstance(pid, (int, np.integer)) and isinstance(rnd, (int, np.integer)):
-        pid, rnd = int(pid), int(rnd)
+    code = STAGE_CODE.get(stage, stage) if isinstance(stage, str) else stage
+    scalar = (int, np.integer)
+    if isinstance(pid, scalar) and isinstance(rnd, scalar) and isinstance(code, scalar):
+        pid, rnd, code = int(pid), int(rnd), int(code)
+        if not 0 <= code < 16:
+            raise ValueError(f"invalid stage {stage!r}")
         if not (0 <= pid < 1 << 30 and 0 <= rnd < 1 << 30):
             raise ValueError("processor id and round must fit in 30 bits")
         return np.uint64(seed), np.uint64((pid << 34) | (rnd << 4) | code)
-    pid = np.asarray(pid, dtype=np.int64)
-    rnd = np.asarray(rnd, dtype=np.int64)
-    if np.any((pid < 0) | (pid >= 1 << 30) | (rnd < 0) | (rnd >= 1 << 30)):
-        raise ValueError("processor id and round must fit in 30 bits")
+    pid, rnd, code = (np.asarray(v, dtype=np.int64) for v in (pid, rnd, code))
+    for part, limit in ((code, 16), (pid, 1 << 30), (rnd, 1 << 30)):
+        if part.size and not 0 <= part.min() <= part.max() < limit:
+            raise ValueError(f"invalid stage {stage!r}" if limit == 16
+                             else "processor id and round must fit in 30 bits")
     word = (pid.astype(np.uint64) << np.uint64(34)) | (
-        rnd.astype(np.uint64) << np.uint64(4)) | np.uint64(code)
+        rnd.astype(np.uint64) << np.uint64(4)) | code.astype(np.uint64)
     return np.uint64(seed), word
 
 
@@ -234,7 +239,7 @@ class StageDraws:
             return out_rows, out_values
         parts_rows, parts_values = [out_rows], [out_values]
         for i in np.flatnonzero(exact).tolist():
-            dests = np.unique(self.exact(rows[i]).integers(0, n, size=k[i]))
+            dests, _ = runs(np.sort(self.exact(rows[i]).integers(0, n, size=k[i])))
             parts_rows.append(np.full(dests.size, rows[i]))
             parts_values.append(dests)
         out_rows = np.concatenate(parts_rows)
@@ -264,7 +269,7 @@ class StageDraws:
             return requesters, rows, self._doubles[rows, slot] < p
         correct = self._doubles[rows, np.minimum(slot, _DOUBLES - 1)] < p
         keep = np.ones(rows.size, dtype=bool)
-        for row in np.unique(rows[exact]).tolist():
+        for row in runs(rows[exact])[0].tolist():
             rng = self.exact(row)
             rng.integers(self.n)
             lo, hi = rows.searchsorted(row), rows.searchsorted(row, "right")
@@ -291,6 +296,7 @@ class StreamWindow:
     """
 
     _STAGES = ("query", "gossip")
+    _CODES = np.array([STAGE_CODE[stage] for stage in _STAGES])[:, None, None]
 
     def __init__(self, seed: int, n: int, last_round: int):
         self.seed = seed
@@ -305,12 +311,8 @@ class StreamWindow:
         width = max(1, _WINDOW_KEYS // (2 * pids.size))
         width = min(width, max(1, self.last_round - rnd))
         rounds = np.arange(rnd, rnd + width)
-        words = [
-            stream_key(self.seed, pids[None, :], rounds[:, None], stage)[1]
-            for stage in self._STAGES
-        ]
-        blocks = philox_first_block(self.seed, np.stack(words).ravel())
-        self._blocks = blocks.reshape(2, width, pids.size, 4)
+        _, words = stream_key(self.seed, pids, rounds[:, None], self._CODES)
+        self._blocks = philox_first_block(self.seed, words)
         self._decoded = decode(self._blocks, self.n)
         self._pids = pids
         self._start = rnd

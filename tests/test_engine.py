@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relsim
 from relsim import protocol
 from relsim.adversary import (
     ConstantReliability,
@@ -137,6 +142,23 @@ class TestInvariants:
         with pytest.raises(AssertionError, match="dead processor"):
             run(self.CONFIG, check_invariants=True)
 
+    def test_block_merge_that_shrinks_knowledge_is_caught(self, monkeypatch):
+        # Only the merges of blocks of rounds lower an entry, each below its
+        # value before the merge.
+        real = protocol.merge_knowledge
+
+        def shrinking(known, dst, src, rnd=None):
+            if rnd is None or not len(dst):
+                return real(known, dst, src, rnd)
+            col = int(known[dst[0]].argmax())
+            was = known[dst[0], col]
+            real(known, dst, src, rnd)
+            known[dst[0], col] = was - 1
+
+        monkeypatch.setattr(protocol, "merge_knowledge", shrinking)
+        with pytest.raises(AssertionError, match="knowledge shrank in rounds"):
+            run(self.CONFIG, check_invariants=True)
+
 
 class TestRun:
     def test_single_processor_hand_trace(self):
@@ -264,3 +286,26 @@ class TestRun:
         for pid, est in result.estimates.items():
             assert est.shape == (8,)
             assert est.dtype == np.float64
+
+
+def test_a_run_and_its_scoring_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma, about 12 ms, on its first call.  The run
+    # serves past the request cap and its profess fan-outs outgrow one
+    # Philox block, so the draws' exact paths run too.
+    code = """
+import sys
+from relsim.adversary import LinearFraction, UpfrontCrashes
+from relsim.engine import RunConfig, run
+from relsim.estimator import EstimationParams
+from relsim.metrics import accuracy
+result = run(RunConfig(n=32, params=EstimationParams(0.5, 0.1), model=LinearFraction(0.25),
+                       crash_pattern=UpfrontCrashes(), seed=1))
+assert result.completion == "all_halted" and result.metrics.messages_by_type["profess"]
+accuracy(result, result.truth, result.schedule, result.config.params)
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(relsim.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

@@ -137,6 +137,46 @@ def test_merge_matches_rowwise_maximum():
     assert np.array_equal(known, expected)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 7), start=st.integers(0, 4), width=st.integers(2, 7),
+       data=st.data())
+def test_block_merge_matches_round_by_round(n, start, width, data):
+    # A block of rounds as the engine steps one: each processor live in a
+    # round shares with one peer (itself allowed) or its share is lost, and
+    # processors crash inside the block.  The reference writes each round's
+    # own records, then merges the round; the block merge writes the own
+    # records once, at the end.
+    end = start + width
+    crash = np.array(data.draw(st.lists(st.integers(start, end), min_size=n, max_size=n)))
+    known = np.array(data.draw(st.lists(st.integers(-1, start - 1), min_size=n * n,
+                                        max_size=n * n)), dtype=np.int16).reshape(n, n)
+    # A draw of n loses the share.
+    picks = data.draw(st.lists(st.integers(0, n), min_size=width * n, max_size=width * n))
+    shares = [(r, s, d) for (r, s), d in zip(
+        ((r, s) for r in range(start, end) for s in range(n)), picks)
+        if crash[s] > r and d < n and crash[d] > r]
+    rnd, src, dst = np.array(shares, dtype=np.int64).reshape(-1, 3).T
+
+    expected = known.copy()
+    for r in range(start, end):
+        acting = np.flatnonzero(crash > r)
+        expected[acting, acting] = r
+        merge_knowledge(expected, dst[rnd == r], src[rnd == r])
+    active = np.flatnonzero(crash > start)
+    merge_knowledge(known, dst, src, rnd)
+    known[active, active] = np.minimum(crash[active], end) - 1
+    assert np.array_equal(known, expected)
+
+    # Each run writes a row in one round only and reads no row it wrote.
+    cuts = knowledge.snapshot_runs(dst, src, rnd)
+    assert cuts[0] == 0 and cuts[-1] == len(dst) and cuts == sorted(set(cuts))
+    for lo, hi in zip(cuts, cuts[1:]):
+        first_write = {}
+        for r, s, d in zip(rnd[lo:hi].tolist(), src[lo:hi].tolist(), dst[lo:hi].tolist()):
+            assert first_write.setdefault(d, r) == r
+            assert first_write.get(s, r) == r
+
+
 def test_add_records_matches_one_at_a_time():
     rng = np.random.default_rng(5)
     batched, single = RecordPool(6, G1), RecordPool(6, G1)

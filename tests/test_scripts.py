@@ -13,12 +13,12 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = str(Path(relsim.__file__).resolve().parent.parent)
 
 
-def run_script(name, *flags):
+def run_script(name, *flags, status=0):
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, str(REPO / "scripts" / name), *flags],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
+    assert done.returncode == status, done.stderr
+    return done
 
 
 def rows(lines, grid):
@@ -29,7 +29,7 @@ def rows(lines, grid):
 @pytest.mark.parametrize("model, grid", [("lf", ["8", "16", "32"]), ("fp", ["16", "64"])])
 def test_scaling(model, grid):
     lines = run_script("scaling.py", "--model", model, "--grid", ",".join(grid),
-                       "--trials", "1")
+                       "--trials", "1").stdout.splitlines()
     assert lines[0].split()[0] == "n" and lines[0].endswith("completion")
     table = rows(lines, grid)
     assert [line.split()[0] for line in table] == grid
@@ -38,6 +38,18 @@ def test_scaling(model, grid):
 
 
 def test_whp_preset():
-    lines = run_script("whp_preset.py", "--grid", "8,16", "--trials", "1")
+    lines = run_script("whp_preset.py", "--grid", "8,16", "--trials", "1").stdout.splitlines()
     assert lines[0].split() == ["n", "delta=1/n^a", "in-band", "undetermined"]
     assert [line.split()[0] for line in rows(lines, ["8", "16"])] == ["8", "16"]
+
+
+@pytest.mark.parametrize("name, flags, message", [
+    ("scaling.py", ["--model", "fp", "--grid", "64,16", "--trials", "1"],
+     "grid must be nonempty and strictly increasing"),
+    ("whp_preset.py", ["--grid", "8", "--trials", "1", "--alpha", "-1"],
+     "give no stopping threshold"),
+])
+def test_bad_input_exits_2_with_a_message(name, flags, message):
+    done = run_script(name, *flags, status=2)
+    assert done.stderr.startswith("error: ") and message in done.stderr
+    assert "Traceback" not in done.stderr

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from relsim.streams import (
+    STAGE_CODE,
     RekeyedStream,
     StageDraws,
     StreamWindow,
@@ -128,6 +129,42 @@ def test_serve_cap_binds_in_a_large_population():
 def test_serve_after_rejected_first_draw():
     groups = {s: [s, s + 1] for s in range(200)}
     check_serve(HUGE_N, groups, cap=30)
+
+
+def test_one_key_call_builds_every_stage_of_a_window():
+    # Stage codes broadcast like processors and rounds: the words of both of
+    # a window's stages, by stage, round and processor, are each stage's.
+    pids, rounds = np.array([0, 5, 9, 300]), np.arange(4, 7)
+    stages = ("query", "gossip")
+    codes = np.array([STAGE_CODE[stage] for stage in stages])[:, None, None]
+    _, words = stream_key(SEED, pids, rounds[:, None], codes)
+    assert words.shape == (2, rounds.size, pids.size)
+    for at, stage in enumerate(stages):
+        assert np.array_equal(words[at], stream_key(SEED, pids, rounds[:, None], stage)[1])
+        for r, row in zip(rounds.tolist(), words[at]):
+            assert row.tolist() == [stream_key(SEED, p, r, stage)[1] for p in pids.tolist()]
+    window = StreamWindow(SEED, 400, last_round=7)
+    assert window.reach(4, pids) == 7
+    for at, stage in enumerate(stages):
+        for r in rounds.tolist():
+            assert np.array_equal(window.stage(r, stage, pids).words,
+                                  philox_first_block(SEED, words[at, r - 4]))
+
+
+@pytest.mark.parametrize("pid, rnd, stage", [
+    (np.array([0, 1 << 30]), 0, "query"),
+    (np.array([3, -1]), 0, "query"),
+    (np.array([0, 1]), np.array([[0], [1 << 30]]), "gossip"),
+    (np.array([0, 1]), np.array([2, -1]), "gossip"),
+    (1 << 30, 0, "query"),
+    (3, -1, "query"),
+    (0, 0, "bogus"),
+    (np.array([0]), 0, "bogus"),
+    (np.array([0]), 0, np.array([2, 16])),
+])
+def test_stream_key_rejects_parts_outside_their_domain(pid, rnd, stage):
+    with pytest.raises(ValueError):
+        stream_key(SEED, pid, rnd, stage)
 
 
 def test_window_spans_rounds_and_shrinking_live_set():
