@@ -24,7 +24,7 @@ from pathlib import Path
 from relsim.adversary import FractionalPolynomial, LinearFraction, UpfrontCrashes
 from relsim.engine import RunConfig
 from relsim.estimator import EstimationParams
-from relsim.harness import ExperimentSpec, exit_status, sweep, write_sweep_csv
+from relsim.harness import ExperimentSpec, exit_status, parse_grid, sweep, write_sweep_csv
 from relsim.metrics import scaling_fit
 
 # Per model, the defaults of the flags left unset; --f and --a each belong
@@ -85,7 +85,7 @@ def main() -> int:
             if getattr(args, key) is not None:
                 parser.error(f"--{key} needs --model {model}")
 
-    grid = tuple(int(x) for x in args.grid.split(","))
+    grid = parse_grid(args.grid)
     model = (LinearFraction(args.f) if args.model == "lf"
              else FractionalPolynomial(args.a, 1.0))
     base = RunConfig(

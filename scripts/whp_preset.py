@@ -11,7 +11,7 @@ import argparse
 from relsim.adversary import LinearFraction, NoCrashes, UniformReliability
 from relsim.engine import RunConfig
 from relsim.estimator import EstimationParams
-from relsim.harness import ExperimentSpec, exit_status, sweep
+from relsim.harness import ExperimentSpec, exit_status, parse_grid, sweep
 
 
 def main() -> int:
@@ -23,9 +23,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=900)
     args = parser.parse_args()
 
-    print(f"{'n':>6} {'delta=1/n^a':>12} {'in-band':>8} {'undetermined':>13}")
-    for n in (int(x) for x in args.grid.split(",")):
-        # delta depends on n, so each n is a sweep of its own.
+    # delta depends on n, so each n is a sweep of its own.  Every sweep is
+    # built, and so checked, before anything is printed.
+    specs = []
+    for n in parse_grid(args.grid):
         delta = 1.0 / n**args.alpha
         base = RunConfig(
             n=n,
@@ -35,12 +36,16 @@ def main() -> int:
             reliability=UniformReliability(0.3, 1.0),
             seed=args.seed,
         )
-        rows = [r for r in sweep(ExperimentSpec(grid=(n,), trials=args.trials, base=base))
-                if r["row_type"] == "trial"]
+        specs.append(ExperimentSpec(grid=(n,), trials=args.trials, base=base))
+
+    print(f"{'n':>6} {'delta=1/n^a':>12} {'in-band':>8} {'undetermined':>13}")
+    for spec in specs:
+        rows = [r for r in sweep(spec) if r["row_type"] == "trial"]
         within = sum(r["n_within"] for r in rows)
         numeric = sum(r["n_numeric_live"] for r in rows)
         undetermined = sum(r["undetermined"] for r in rows)
-        print(f"{n:>6} {delta:>12.5f} {within / numeric:>8.4f} {undetermined:>13}")
+        print(f"{spec.base.n:>6} {spec.base.params.delta:>12.5f} {within / numeric:>8.4f} "
+              f"{undetermined:>13}")
     return 0
 
 

@@ -13,15 +13,15 @@ processor, round, stage), evaluated a window of rounds at a time by
 Until the record pool settles globally, nobody is enlightened, professes or
 halts, so a round's queries, serving, records and share sends depend only on
 the crash schedule and the draws.  The engine therefore steps rounds in
-blocks: each step runs once over a block's (round, processor) pairs.  In a
-block of more than one round gossip compute is the merge of the block's
-shares alone, one call that applies them in runs of rounds, after which each
-processor's newest own record goes into its knowledge row; only trace lines
-go round by round.  A one-round block runs gossip compute whole, halts
-included.  A block ends at its draw window's end, at the round cap, at the
-first round with no live processor, and before the round whose records
-settle the pool, found before anything is committed.  From that round on,
-each block is one round.
+blocks: each step runs once over a block's (round, processor) pairs, and
+only trace lines go round by round.  A block ends at its draw window's end,
+at the round cap, at the first round with no live processor, and before the
+round whose records settle the pool, found before anything is committed.
+From that round on, each block is one round.  Gossip compute is the same for
+every block: one call merges the block's delivered gossip, applying it in
+runs of rounds; each processor's newest own record then goes into its
+knowledge row; last, the processors that heard a final-level profess halt
+(only a block's first round can carry one).
 
 A :class:`RunConfig` checks itself when constructed; a run takes it as given.
 """
@@ -315,12 +315,9 @@ def run(
         if rnd >= max_rounds:
             completion = "round_cap_hit"
             break
-        # A block of rounds, stepped at once.  Until the pool settles
-        # globally nobody is enlightened, professes or halts, so a block
-        # runs to the window's end (which the round cap bounds) or to the
-        # first round with no live worker, and is cut below before the
-        # round whose records settle the pool.  From that round on, a block
-        # is one round.
+        # A block of rounds, stepped at once: to the window's end (which the
+        # round cap bounds) or the first round with no live worker, cut below
+        # before the round whose records settle the pool; then one round.
         end = window.reach(rnd, active)
         if rnd == settles or pool.globally_estimable():
             end = rnd + 1
@@ -331,7 +328,7 @@ def run(
 
         # ---- query stage ----------------------------------------------------
         draws = window.stage(pairs_rnd, "query", pairs_pid)
-        requests = protocol.query_send(pop, pairs_pid, draws)
+        requests = protocol.query_send(pairs_pid, draws)
         received, request_drops = deliver(requests, pop)
         responses = protocol.query_compute(pop, received, draws, p)
         res = protocol.response_receive(pop, requests, responses)
@@ -385,9 +382,9 @@ def run(
         metrics.count_messages("profess", professes)
         inbox, gossip_drops = deliver(gossip, pop)
         count_route(gossip, gossip_drops, pop, metrics)
-        enlightened_now, level_reset = protocol.gossip_receive(pop, active, inbox)
+        enlightened_now, level_reset = protocol.gossip_receive(pop, inbox)
 
-        # ---- gossip compute: own records, knowledge merges and halts --------
+        # ---- gossip compute: knowledge merges, own records and halts --------
         if trace is not None:  # round by round: the trace reads no knowledge
             edges = np.arange(rnd, end + 1)
             nobody = active[:0]
@@ -399,25 +396,21 @@ def run(
                 _trace_round(r, *steps, *events, pop, trace)
         if check_invariants:
             known_before = pop.known[active]
-        if end > rnd + 1:
-            # Nobody professes before the pool settles: gossip compute is the
-            # merges alone, checked run by run (a run writes each row at most once).
-            cuts = (snapshot_runs(inbox.dst, inbox.src, inbox.rnd) if check_invariants
-                    else [0, len(inbox)])
-            for lo, hi in zip(cuts, cuts[1:]):
-                shares = inbox.take(slice(lo, hi))
-                before = pop.known[shares.dst] if check_invariants else None
-                protocol.merge_knowledge(pop.known, shares.dst, shares.src, shares.rnd)
-                assert before is None or np.all(pop.known[shares.dst] >= before), (
-                    f"knowledge shrank in rounds {shares.rnd[0]}-{shares.rnd[-1]}")
-            pop.known[active, active] = np.minimum(pop.crash_round[active], end) - 1  # own records
-        else:
-            pop.known[active, active] = rnd
-            halted = protocol.gossip_compute(pop, active, inbox, pool)
-            for pid in halted.tolist():
-                metrics.per_processor_halt_round[pid] = rnd
-            if trace is not None:
-                trace.emit(rnd, "gossip", "compute", "halt", halted)
+        # The merges, checked run by run (a run writes each row at most once).
+        cuts = (snapshot_runs(inbox.dst, inbox.src, inbox.rnd) if check_invariants
+                else [0, len(inbox)])
+        for lo, hi in zip(cuts, cuts[1:]):
+            shares = inbox.take(slice(lo, hi))
+            before = pop.known[shares.dst] if check_invariants else None
+            protocol.merge_knowledge(pop.known, shares.dst, shares.src, shares.rnd)
+            assert before is None or np.all(pop.known[shares.dst] >= before), (
+                f"knowledge shrank in rounds {shares.rnd[0]}-{shares.rnd[-1]}")
+        pop.known[active, active] = pool.newest(active)  # own records
+        halted = protocol.gossip_compute(pop, inbox, pool)
+        for pid in halted.tolist():
+            metrics.per_processor_halt_round[pid] = rnd
+        if trace is not None:
+            trace.emit(rnd, "gossip", "compute", "halt", halted)
         if check_invariants:
             assert np.all(pop.known[active] >= known_before), (
                 f"knowledge shrank in rounds {rnd}-{end - 1}")

@@ -396,11 +396,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def parse_grid(text: str) -> tuple[int, ...]:
+    """The n values of a comma-separated ``--grid``."""
     try:
-        grid = tuple(int(x) for x in args.grid.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad --grid {args.grid!r}") from exc
+        raise UsageError(f"bad --grid {text!r}") from exc
+
+
+def _cmd_sweep(args) -> int:
+    grid = parse_grid(args.grid)
     if args.n is not None:
         raise UsageError("sweep takes n from --grid; drop --n")
     args.n = grid[0]

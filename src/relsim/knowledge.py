@@ -76,15 +76,18 @@ def merge_knowledge(known: np.ndarray, dst: np.ndarray, src: np.ndarray,
     Every row is read before any is written, so a row that is both sent and
     merged into contributes its value from before this merge, as a snapshot
     taken at send time would.  Given rounds ``rnd`` (ascending), they are a
-    block's shares, one per sender and round at most, lacking their senders'
-    own records, and merge one :func:`snapshot_runs` run at a time.
+    block's gossip, from rows lacking their senders' own records of those
+    rounds, and merge one :func:`snapshot_runs` run at a time, adding each
+    sender's record of its round.  A sender may reach several destinations
+    in a round, itself among them, as a profess does.
     """
     if rnd is not None:
         cuts = snapshot_runs(dst, src, rnd)
         for lo, hi in zip(cuts, cuts[1:]):
-            merge_knowledge(known, dst[lo:hi], src[lo:hi])
+            rows, senders = dst[lo:hi], src[lo:hi]
+            merge_knowledge(known, rows, senders)
             # The senders' records of the round, new to their destinations.
-            known[dst[lo:hi], src[lo:hi]] = rnd[lo:hi]
+            known[rows, senders] = rnd[lo:hi]
         return
     if len(dst) <= 1:
         if len(dst):
@@ -119,6 +122,8 @@ def snapshot_runs(dst: np.ndarray, src: np.ndarray, rnd: np.ndarray) -> list[int
     wrote, so it merges as one snapshot exactly as it would round by round."""
     if not len(dst):
         return [0]
+    if rnd[0] == rnd[-1]:  # one round, as in every block once the pool settles
+        return [0, len(dst)]
     rounds, bounds = runs(rnd)
     at = rnd - rnd[0]
     # written[(t + 1) * cols + c]: the last round <= t writing touched row c.

@@ -13,17 +13,18 @@ final estimates and stop.  Levels double the profess fan-out each round and
 double as priorities: a processor that hears a higher-priority profess resets
 its own level, which keeps the total profess volume bounded.
 
-The step functions below are whole-population transitions.  Each takes the
-:class:`Population`, the processors acting (live and unhalted) and the
-step's inputs, and updates the state of exactly those processors.  No
+The step functions below are whole-population transitions.  Each takes
+what it reads of the :class:`Population`, the processors acting (live and
+unhalted) and the step's inputs, and updates the state of those acting.  No
 processor's transition reads state that another's changes in the same step,
 so each step equals running the per-processor transition for every acting
 processor in id order.  Until the pool settles globally nobody is
-enlightened, professes or halts, so the engine hands every step but
-``gossip_compute`` a block of consecutive rounds at once: the acting
-processors are then those of (round, processor) pairs, ordered by round,
-then id, and each message carries the round it is sent in.  The block's
-merges, which depend on the round before, are one call given those rounds.
+enlightened, professes or halts, so the engine hands every step a block of
+consecutive rounds (one round, once the pool settles): the acting
+processors are those of (round, processor) pairs, ordered by round, then
+id, and each message carries its send round.  Gossip compute is the block's
+:func:`merge_knowledge` call, which the engine makes through this module,
+then ``gossip_compute``.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class Population:
 # --- query stage ---------------------------------------------------------------
 
 
-def query_send(pop: Population, active: np.ndarray, draws: StageDraws) -> Messages:
+def query_send(active: np.ndarray, draws: StageDraws) -> Messages:
     """Each processor picks a uniform random peer (self allowed) and requests
     a test task.  ``active`` is the processor of each row of ``draws``."""
     return Messages(active, draws.index(), rnd=draws.rnd)
@@ -204,7 +205,7 @@ def response_compute(pop: Population, active: np.ndarray,
     waiting = active[~pop.enlightened[active]]
     rows = pop.known[waiting]
     # A processor knows every record it created; the engine writes its
-    # newest one into ``known`` by the round's merge.
+    # newest one into ``known`` after the round's merge.
     rows[np.arange(waiting.size), waiting] = pool.newest(waiting)
     flipped = waiting[pool.satisfied(rows)]
     pop.enlightened[flipped] = True
@@ -244,8 +245,7 @@ def gossip_send(pop: Population, active: np.ndarray, draws: StageDraws) -> Messa
     return out
 
 
-def gossip_receive(pop: Population, active: np.ndarray,
-                   inbox: Messages) -> tuple[np.ndarray, np.ndarray]:
+def gossip_receive(pop: Population, inbox: Messages) -> tuple[np.ndarray, np.ndarray]:
     """Process received gossip flags: enlightenment and level reset.
 
     Any profess enlightens the receiver (its first own profess goes out next
@@ -256,7 +256,7 @@ def gossip_receive(pop: Population, active: np.ndarray,
     the ids whose nonzero level was reset.
     """
     if not np.count_nonzero(inbox.is_profess):
-        return active[:0], active[:0]
+        return _NO_IDS, _NO_IDS
     n = pop.n
     professes = inbox.take(inbox.is_profess)
     heard, _ = runs(np.sort(professes.dst))
@@ -270,20 +270,16 @@ def gossip_receive(pop: Population, active: np.ndarray,
     return enlightened_now, level_reset
 
 
-def gossip_compute(pop: Population, active: np.ndarray, inbox: Messages,
-                   pool: RecordPool) -> np.ndarray:
-    """Merge received knowledge; halt if enough gossip circulated.
+def gossip_compute(pop: Population, inbox: Messages, pool: RecordPool) -> np.ndarray:
+    """Halt if enough gossip circulated, once the engine merged the inbox.
 
-    Knowledge union is monotone.  A received profess whose level has reached
-    ceil(log2(n)) triggers the final estimation over the merged knowledge
-    and halts the processor.  Returns the ids that halted.
+    A received profess whose level has reached ceil(log2(n)) triggers the
+    final estimation over the merged knowledge and halts the processor.
+    Returns the ids that halted.
     """
-    merge_knowledge(pop.known, inbox.dst, inbox.src)
-    if not np.count_nonzero(inbox.is_profess):
-        return active[:0]
     final = inbox.is_profess & (inbox.level >= ceil_log2(pop.n))
     if not np.count_nonzero(final):
-        return active[:0]
+        return _NO_IDS
     halting, _ = runs(np.sort(inbox.dst[final]))
     pop.estimates.update(zip(halting.tolist(), pool.estimate_all(pop.known[halting])))
     pop.halted[halting] = True

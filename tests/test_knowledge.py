@@ -177,6 +177,32 @@ def test_block_merge_matches_round_by_round(n, start, width, data):
             assert first_write.get(s, r) == r
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 7), rnd=st.integers(0, 4), data=st.data())
+def test_one_round_merge_of_fanouts_matches_own_records_first(n, rnd, data):
+    # A round after the pool settles, as the engine steps one: each live
+    # processor sends to a set of live destinations, itself allowed, as a
+    # profess does (one destination is a share).  The reference writes the
+    # round's own records, then merges as one snapshot; the block merge
+    # writes them after.
+    crash = np.array(data.draw(st.lists(st.integers(rnd, rnd + 1), min_size=n, max_size=n)))
+    known = np.array(data.draw(st.lists(st.integers(-1, rnd - 1), min_size=n * n,
+                                        max_size=n * n)), dtype=np.int16).reshape(n, n)
+    live = np.flatnonzero(crash > rnd)
+    messages = [(s, d) for s in live.tolist() for d in live.tolist() if data.draw(st.booleans())]
+    src, dst = np.array(messages, dtype=np.int64).reshape(-1, 2).T
+
+    expected = known.copy()
+    expected[live, live] = rnd
+    merge_knowledge(expected, dst, src)
+    rounds = np.full(len(dst), rnd)
+    merge_knowledge(known, dst, src, rounds)
+    known[live, live] = rnd
+    assert np.array_equal(known, expected)
+    cuts = knowledge.snapshot_runs(dst, src, rounds)
+    assert cuts == ([0, len(dst)] if len(dst) else [0])
+
+
 def test_add_records_matches_one_at_a_time():
     rng = np.random.default_rng(5)
     batched, single = RecordPool(6, G1), RecordPool(6, G1)

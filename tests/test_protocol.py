@@ -13,6 +13,7 @@ from relsim.protocol import (
     gossip_compute,
     gossip_receive,
     gossip_send,
+    merge_knowledge,
     profess_fanout,
     query_compute,
     query_send,
@@ -56,6 +57,12 @@ def share(src, dst):
     return gossip([src], [dst], [0], [False])
 
 
+def merge_and_halt(pop, inbox, pool):
+    # Gossip compute as the engine runs it: merge the inbox, then halt.
+    merge_knowledge(pop.known, inbox.dst, inbox.src)
+    return gossip_compute(pop, inbox, pool)
+
+
 def fill_correct(pool, pop, plan, first_round=0):
     # Each ``pid: (target, count)`` of ``plan`` records ``count`` correct
     # results about ``target`` in consecutive rounds from ``first_round``,
@@ -75,7 +82,7 @@ class TestPriority:
         pop = make_pop(16)
         pop.enlightened[pid] = True
         pop.level[pid] = level
-        _, reset = gossip_receive(pop, ids(pid), profess(src, pid, their_level))
+        _, reset = gossip_receive(pop, profess(src, pid, their_level))
         return pid in reset.tolist()
 
     def test_level_dominates(self):
@@ -111,14 +118,14 @@ class TestHelpers:
 class TestQuery:
     def test_single_processor_targets_itself(self):
         pop = make_pop(1)
-        requests = query_send(pop, ids(0), draws(pop, 1, 0, "query", ids(0)))
+        requests = query_send(ids(0), draws(pop, 1, 0, "query", ids(0)))
         assert requests.src.tolist() == [0] and requests.dst.tolist() == [0]
         assert requests.rnd.tolist() == [0]
 
     def test_reproducible_target_sequence(self):
         def picks():
             pop = make_pop(16)
-            return [int(query_send(pop, ids(3), draws(pop, 9, r, "query", ids(3))).dst[0])
+            return [int(query_send(ids(3), draws(pop, 9, r, "query", ids(3))).dst[0])
                     for r in range(20)]
         fresh = [int(rng_stream(9, 3, r, "query").integers(16)) for r in range(20)]
         assert picks() == picks() == fresh
@@ -129,7 +136,7 @@ class TestQuery:
         window = StreamWindow(77, 16, 6250)
         counts = np.zeros(16, dtype=int)
         for r in range(6250):
-            dst = query_send(pop, active, window.stage(r, "query", active)).dst
+            dst = query_send(active, window.stage(r, "query", active)).dst
             counts += np.bincount(dst, minlength=16)
         assert np.all(np.abs(counts - 6250) <= 300)
 
@@ -245,27 +252,26 @@ class TestGossip:
         pop, pool = make_pop(3), make_pool(3)
         pop.known[0, 0] = 5
         pop.known[1, 1] = 3
-        gossip_compute(pop, ids(0, 1, 2), gossip([0, 1], [1, 2], [0, 0],
-                                                 [False, False]), pool)
+        merge_and_halt(pop, gossip([0, 1], [1, 2], [0, 0], [False, False]), pool)
         assert pop.known[1].tolist() == [5, 3, -1]
         assert pop.known[2].tolist() == [-1, 3, -1]
         assert pop.known[0].tolist() == [5, -1, -1]
 
     def test_profess_receipt_enlightens(self):
         pop = make_pop(8)
-        enlightened_now, _ = gossip_receive(pop, ids(0), profess(3, 0, 0))
+        enlightened_now, _ = gossip_receive(pop, profess(3, 0, 0))
         assert enlightened_now.tolist() == [0] and pop.enlightened[0]
 
     def test_higher_priority_profess_resets_level(self):
         pop = make_pop(16)
         pop.enlightened[5], pop.level[5] = True, 3
-        _, reset = gossip_receive(pop, ids(5), profess(9, 5, 3))
+        _, reset = gossip_receive(pop, profess(9, 5, 3))
         assert reset.tolist() == [5] and pop.level[5] == 0
 
     def test_share_does_not_reset_by_default(self):
         pop = make_pop(16)
         pop.enlightened[5], pop.level[5] = True, 3
-        _, reset = gossip_receive(pop, ids(5), share(9, 5))
+        _, reset = gossip_receive(pop, share(9, 5))
         assert reset.size == 0 and pop.level[5] == 3
 
     def test_literal_reset_ranges_over_shares(self):
@@ -274,13 +280,13 @@ class TestGossip:
         pop = make_pop(16)
         out = gossip_send(pop, ids(9), draws(pop, 1, 0, "gossip", ids(9)))
         assert out.level.tolist() == [0]
-        _, reset = gossip_receive(pop, ids(5), share(9, 5))
+        _, reset = gossip_receive(pop, share(9, 5))
         assert reset.size == 0 and pop.level[5] == 0
 
     def test_empty_inbox_no_change(self):
         pop = make_pop(16)
         pop.enlightened[5], pop.level[5] = True, 3
-        now, reset = gossip_receive(pop, ids(5), gossip([], [], [], []))
+        now, reset = gossip_receive(pop, gossip([], [], [], []))
         assert now.size == 0 and reset.size == 0
         assert pop.level[5] == 3
 
@@ -290,7 +296,7 @@ class TestGossip:
         for target in range(n):
             fill_correct(pool, pop, {1: (target, math.ceil(G1))},
                          first_round=target * math.ceil(G1))
-        halted = gossip_compute(pop, ids(0, 1), profess(1, 0, ceil_log2(n)), pool)
+        halted = merge_and_halt(pop, profess(1, 0, ceil_log2(n)), pool)
         assert halted.tolist() == [0] and pop.halted.tolist() == [True, False, False, False]
         assert not np.isnan(pop.estimates[0]).any()
 
@@ -298,17 +304,25 @@ class TestGossip:
         n = 4
         pool, pop = make_pool(n), make_pop(n)
         fill_correct(pool, pop, {1: (2, 3)})
-        halted = gossip_compute(pop, ids(0, 1), share(1, 0), pool)
+        halted = merge_and_halt(pop, share(1, 0), pool)
         assert halted.size == 0 and not pop.halted.any()
         assert pop.known[0, 1] == pop.known[1, 1]
         assert len(records_for(pool, pop.known[0], 2)) == 3
+
+    def test_gossip_compute_leaves_knowledge_to_the_merge(self):
+        n = 4
+        pool, pop = make_pool(n), make_pop(n)
+        fill_correct(pool, pop, {1: (2, 3)})
+        before = pop.known.copy()
+        halted = gossip_compute(pop, share(1, 0), pool)
+        assert halted.size == 0 and np.array_equal(pop.known, before)
 
     def test_merge_is_idempotent(self):
         n = 4
         pool, pop = make_pool(n), make_pop(n)
         fill_correct(pool, pop, {1: (2, 3)})
-        gossip_compute(pop, ids(0, 1), gossip([1, 1], [0, 0], [0, 0], [False, False]),
-                       pool)
+        merge_and_halt(pop, gossip([1, 1], [0, 0], [0, 0], [False, False]), pool)
         before = records_for(pool, pop.known[0], 2)
-        gossip_compute(pop, ids(0, 1), share(1, 0), pool)
+        assert len(before) == 3  # the first merge brought them
+        merge_and_halt(pop, share(1, 0), pool)
         assert records_for(pool, pop.known[0], 2) == before

@@ -48,8 +48,14 @@ def test_whp_preset():
      "grid must be nonempty and strictly increasing"),
     ("whp_preset.py", ["--grid", "8", "--trials", "1", "--alpha", "-1"],
      "give no stopping threshold"),
+    ("scaling.py", ["--model", "lf", "--grid", "8,x", "--trials", "1"], "bad --grid '8,x'"),
+    ("whp_preset.py", ["--grid", "8,y"], "bad --grid '8,y'"),
+    # delta = 1/n**alpha is in its domain at n = 8 and out of it at n = 16.
+    ("whp_preset.py", ["--grid", "8,16", "--trials", "1", "--alpha", "-0.3"],
+     "delta 2.297"),
 ])
 def test_bad_input_exits_2_with_a_message(name, flags, message):
     done = run_script(name, *flags, status=2)
     assert done.stderr.startswith("error: ") and message in done.stderr
     assert "Traceback" not in done.stderr
+    assert done.stdout == ""

@@ -33,14 +33,14 @@ def test_every_span_target_is_bound():
     assert not missing, f"span targets no longer bound: {missing}"
 
 
-def _traced(spans, config):
+def _traced(spans, config, **options):
     recorder = spans.SpanRecorder()
     bound = spans.originals()
     with recorder.installed():
-        result = engine.run(config)
+        result = engine.run(config, **options)
     recorder.drain()
     assert spans.originals() == bound
-    return recorder, result.metrics
+    return recorder, result
 
 
 @pytest.mark.parametrize("max_rounds", [None, 30])
@@ -52,13 +52,15 @@ def test_span_counters_run_around_a_run_with_spread_crashes(max_rounds):
     config = RunConfig(n=10, params=EstimationParams(0.8, 0.4),
                        model=FractionalPolynomial(0.5), crash_pattern=SpreadCrashes(40),
                        seed=8, max_rounds=max_rounds)
-    recorder, metrics = _traced(spans, config)
+    recorder, result = _traced(spans, config)
+    metrics = result.metrics
     assert recorder.calls["engine.run"] == 1
     for name in ("engine.deliver", "protocol.query_send", "protocol.query_compute",
                  "protocol.response_receive", "protocol.gossip_send"):
         assert 0 < recorder.calls[name] < metrics.rounds_to_all_halt, name
-    # One merge per block: a block of rounds merges its shares in one call.
+    # One merge and one gossip compute per block, whatever its length.
     assert recorder.calls["knowledge.merge_knowledge"] == recorder.calls["protocol.gossip_send"]
+    assert recorder.calls["protocol.gossip_compute"] == recorder.calls["protocol.gossip_send"]
     counts = recorder.counts
     routed = metrics.messages_total - metrics.messages_by_type["task_response"]
     dropped = metrics.dropped_to_crashed + metrics.dropped_to_halted
@@ -70,3 +72,22 @@ def test_span_counters_run_around_a_run_with_spread_crashes(max_rounds):
     else:
         assert got == (routed, dropped, served)
     assert dropped > 0
+
+
+# Spans a run never enters: the harness and ``metrics.accuracy`` work around
+# a run, and the engine calls the pool's batch forms ``add_records`` and
+# ``satisfied``, not the one-record and one-row forms the benchmark wraps.
+OFF_THE_ENGINE_PATH = {"knowledge.RecordPool.add_record", "knowledge.RecordPool.satisfies",
+                       "metrics.accuracy", "harness.write_trace", "harness.render_trace"}
+
+
+def test_a_run_that_halts_enters_every_span_on_the_engine_path():
+    # A step the engine stops calling fails here instead of reading 0 calls
+    # in the benchmark's table.
+    spans = _spans()
+    config = RunConfig(n=16, params=EstimationParams(0.8, 0.4), seed=3)
+    recorder, result = _traced(spans, config, collect_trace=True)
+    assert result.completion == "all_halted"
+    idle = [name for name in spans.SPAN_NAMES
+            if name not in OFF_THE_ENGINE_PATH and not recorder.calls[name]]
+    assert not idle, f"spans the run never entered: {idle}"
