@@ -9,9 +9,9 @@ fraction per size; it should rise toward 1 with n.
 import argparse
 
 from relsim.adversary import LinearFraction, NoCrashes, UniformReliability
-from relsim.engine import RunConfig
+from relsim.engine import ConfigError, RunConfig
 from relsim.estimator import EstimationParams
-from relsim.harness import ExperimentSpec, exit_status, parse_grid, sweep
+from relsim.harness import ExperimentSpec, UsageError, exit_status, parse_grid, sweep
 
 
 def main() -> int:
@@ -27,7 +27,14 @@ def main() -> int:
     # built, and so checked, before anything is printed.
     specs = []
     for n in parse_grid(args.grid):
-        delta = 1.0 / n**args.alpha
+        # n is checked before delta, which is not a real number for n < 1.
+        if n < 1:
+            raise ConfigError(f"n must be >= 1, got {n}")
+        try:
+            delta = 1.0 / n**args.alpha
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise UsageError(f"delta = 1/n**alpha is out of range at n = {n}, "
+                             f"alpha = {args.alpha}") from exc
         base = RunConfig(
             n=n,
             params=EstimationParams(args.epsilon, delta),

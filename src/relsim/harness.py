@@ -471,12 +471,19 @@ def _cmd_replay(args) -> int:
 
 def exit_status(command, *args) -> int:
     """``command(*args)``, or 2 after printing ``error: ...`` if it raises
-    one of the errors of bad input."""
+    one of the errors of bad input, or 141, the status of a process killed
+    by SIGPIPE, if the reader of its output goes away."""
     try:
-        return command(*args)
+        status = command(*args)
+        sys.stdout.flush()
+        return status
     except (UsageError, ConfigError, ParameterDomainError, AdversaryDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Send what is left to /dev/null, so the flush at exit does not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

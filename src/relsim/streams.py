@@ -4,19 +4,19 @@ Every random draw of a run comes from a Philox4x64-10 stream keyed by
 ``(seed, processor, round, stage)`` (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11).  Philox is counter-based, so the first
 block of 64-bit words of many streams can be computed at once with array
-operations; :class:`StreamWindow` does this for every live processor and the
-next few rounds in one call, and decodes the window's first draws in the
-same call: each stage's ``integers(n)`` and the ``random()`` doubles after it.
+operations; :class:`StreamWindow` builds the keys of every live processor
+and the next few rounds in one call, and computes and decodes their first
+blocks: each stage's ``integers(n)`` and the ``random()`` doubles after it.
 
-:class:`StageDraws` serves one stage of (round, processor) pairs, of one round
-or a block of them, from those blocks, decoded exactly as
+:class:`StageDraws` serves one stage of (round, processor) pairs, given as
+per-pair arrays, from those blocks, decoded exactly as
 ``numpy.random.Generator`` would: ``integers(n)`` is Lemire's multiply-shift
 on 32-bit halves of words (Lemire, "Fast random integer generation in an
 interval", TOMACS 2019), low half first, and ``random()`` is
 ``(word >> 11) * 2**-53``.  Rows whose draws fall outside the first
-block, or hit Lemire's rejection, are replayed through an exact re-keyed
-``Generator``, so every value is bit-identical to a fresh :func:`rng_stream`
-consumed in the same order.
+block, or hit Lemire's rejection, are replayed through a ``Generator``
+re-keyed from the row's key word, so every value is bit-identical to a fresh
+:func:`rng_stream` consumed in the same order.
 """
 
 from __future__ import annotations
@@ -50,21 +50,13 @@ def stream_key(seed: int, pid, rnd, stage) -> tuple[np.uint64, np.ndarray]:
     """Philox key ``(seed, pid << 34 | rnd << 4 | stage)`` as uint64 words.
 
     ``stage`` is a stage name or its code.  ``pid``, ``rnd`` and the code may
-    be integer arrays; the second word then has their broadcast shape.  The
-    one place where stream keys are built.
+    be integers or integer arrays; the second word has their broadcast shape.
+    The one place where stream keys are built.
     """
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    code = STAGE_CODE.get(stage, stage) if isinstance(stage, str) else stage
-    scalar = (int, np.integer)
-    if isinstance(pid, scalar) and isinstance(rnd, scalar) and isinstance(code, scalar):
-        pid, rnd, code = int(pid), int(rnd), int(code)
-        if not 0 <= code < 16:
-            raise ValueError(f"invalid stage {stage!r}")
-        if not (0 <= pid < 1 << 30 and 0 <= rnd < 1 << 30):
-            raise ValueError("processor id and round must fit in 30 bits")
-        return np.uint64(seed), np.uint64((pid << 34) | (rnd << 4) | code)
-    pid, rnd, code = (np.asarray(v, dtype=np.int64) for v in (pid, rnd, code))
+    code = STAGE_CODE.get(stage, -1) if isinstance(stage, str) else stage
+    pid, rnd, code = map(np.asarray, (pid, rnd, code))
     for part, limit in ((code, 16), (pid, 1 << 30), (rnd, 1 << 30)):
         if part.size and not 0 <= part.min() <= part.max() < limit:
             raise ValueError(f"invalid stage {stage!r}" if limit == 16
@@ -146,23 +138,24 @@ def _halves(words: np.ndarray) -> np.ndarray:
 
 
 class RekeyedStream:
-    """One Philox generator re-keyed in place to any stream's start.
+    """One Philox generator re-keyed in place to any stream of one seed.
 
     Re-keying through the state setter skips the entropy pull of a fresh
-    construction and draws exactly what :func:`rng_stream` would.
+    construction; from a key word of :func:`stream_key`, it draws exactly
+    what :func:`rng_stream` would.
     """
 
-    def __init__(self):
+    def __init__(self, seed: int):
+        self._seed = np.uint64(seed)
         self._bitgen = np.random.Philox(key=[0, 0])
         self._template = self._bitgen.state
         self._gen = np.random.Generator(self._bitgen)
 
-    def get(self, seed: int, pid: int, rnd: int, stage) -> np.random.Generator:
-        key0, key1 = stream_key(seed, pid, rnd, stage)
+    def get(self, word: np.uint64) -> np.random.Generator:
         state = dict(self._template)
         state["state"] = {
             "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([key0, key1], dtype=np.uint64),
+            "key": np.array([self._seed, word], dtype=np.uint64),
         }
         self._bitgen.state = state
         return self._gen
@@ -178,30 +171,27 @@ def decode(words: np.ndarray, n: int):
 class StageDraws:
     """One stage's draws for (round, processor) pairs, ordered by round, then id.
 
-    Row ``i`` is processor ``pids[i]`` in round ``rnd[i]``; ``rnd`` may be
-    one round for every row.  ``words`` holds each row's first Philox
-    block, ``n`` is the range of the stage's first draw, ``integers(n)``,
-    and ``decoded`` is ``decode(words, n)``.  Methods take row positions and
-    return what the named numpy calls would on a fresh stream of each row's
-    key.
+    Row ``i`` is processor ``pids[i]`` in round ``rnd[i]``.  ``keys`` holds
+    each row's key word, ``words`` its first Philox block, ``n`` is the
+    range of the stage's first draw, ``integers(n)``, and ``decoded`` is
+    ``decode(words, n)``.  Methods take row positions and return what the
+    named numpy calls would on a fresh stream of each row's key; rows that
+    the first block cannot serve re-key ``rekeyed`` from their key word.
     """
 
-    def __init__(self, seed: int, rnd, stage: str, n: int,
-                 pids: np.ndarray, words: np.ndarray, decoded,
-                 rekeyed: RekeyedStream):
-        self.seed = seed
-        self.rnd = np.broadcast_to(rnd, pids.shape)
-        self.stage = stage
+    def __init__(self, rnd: np.ndarray, n: int, pids: np.ndarray, keys: np.ndarray,
+                 words: np.ndarray, decoded, rekeyed: RekeyedStream):
+        self.rnd = rnd
         self.n = n
         self.pids = pids
+        self.keys = keys
         self.words = words
         self._rekeyed = rekeyed
         self._first, self._rejected, self._doubles = decoded
 
     def exact(self, row: int) -> np.random.Generator:
         """A generator at the start of row ``row``'s stream."""
-        return self._rekeyed.get(self.seed, int(self.pids[row]), int(self.rnd[row]),
-                                 self.stage)
+        return self._rekeyed.get(self.keys[row])
 
     def rows(self, rnd: np.ndarray, pids: np.ndarray) -> np.ndarray:
         """Row positions of the pairs ``(rnd[i], pids[i])``, each one a row."""
@@ -233,7 +223,7 @@ class StageDraws:
         keep = value < n
         keep[:, 1:] &= value[:, 1:] != value[:, :-1]
         keep[exact] = False
-        out_rows = np.broadcast_to(rows[:, None], value.shape)[keep]
+        out_rows = rows.repeat(np.count_nonzero(keep, axis=1))
         out_values = value[keep]
         if not np.count_nonzero(exact):
             return out_rows, out_values
@@ -288,11 +278,12 @@ class StageDraws:
 class StreamWindow:
     """First Philox blocks of the query and gossip streams, batched over rounds.
 
-    A window holds, for the processors live when it was filled, the blocks
-    of rounds ``[start, start + width)``, with ``width`` about
-    ``_WINDOW_KEYS / (2 * live)``, and their :func:`decode`.  The live set
-    only shrinks during a run, so one window serves every round it spans.
-    Its width also bounds a block of rounds that the engine steps at once.
+    A window holds, for the processors live when it was filled, the key
+    words and first blocks of rounds ``[start, start + width)``, with
+    ``width`` about ``_WINDOW_KEYS / (2 * live)``, and their :func:`decode`.
+    The live set only shrinks during a run, so one window serves every round
+    it spans.  Its width also bounds a block of rounds that the engine steps
+    at once.
     """
 
     _STAGES = ("query", "gossip")
@@ -305,14 +296,14 @@ class StreamWindow:
         self._pids = np.empty(0, dtype=np.int64)
         self._start = 0
         self._width = 0
-        self._rekeyed = RekeyedStream()
+        self._rekeyed = RekeyedStream(seed)
 
     def _fill(self, rnd: int, pids: np.ndarray) -> None:
         width = max(1, _WINDOW_KEYS // (2 * pids.size))
         width = min(width, max(1, self.last_round - rnd))
         rounds = np.arange(rnd, rnd + width)
-        _, words = stream_key(self.seed, pids, rounds[:, None], self._CODES)
-        self._blocks = philox_first_block(self.seed, words)
+        _, self._keys = stream_key(self.seed, pids, rounds[:, None], self._CODES)
+        self._blocks = philox_first_block(self.seed, self._keys)
         self._decoded = decode(self._blocks, self.n)
         self._pids = pids
         self._start = rnd
@@ -332,18 +323,14 @@ class StreamWindow:
                 self._fill(rnd, pids)
         return self._start + self._width
 
-    def stage(self, rnd, stage: str, pids: np.ndarray) -> StageDraws:
+    def stage(self, rnd: np.ndarray, stage: str, pids: np.ndarray) -> StageDraws:
         """Draws of ``stage`` for the pairs ``(rnd[i], pids[i])``, ordered by
-        round, then id, or for the ascending ``pids`` in the one round ``rnd``.
+        round, then id.
 
-        The window must :meth:`reach` every pair's processor and round; a
-        single round is reached here.
+        The window must :meth:`reach` every pair's processor and round.
         """
-        if np.ndim(rnd) == 0:
-            self.reach(rnd, pids)
         flat = (rnd - self._start) * self._pids.size + self._pids.searchsorted(pids)
         at = self._STAGES.index(stage)
-        words, *decoded = (a[at].reshape(-1, *a.shape[3:])[flat]
-                           for a in (self._blocks, *self._decoded))
-        return StageDraws(self.seed, rnd, stage, self.n, pids, words, decoded,
-                          self._rekeyed)
+        keys, words, *decoded = (a[at].reshape(-1, *a.shape[3:])[flat]
+                                 for a in (self._keys, self._blocks, *self._decoded))
+        return StageDraws(rnd, self.n, pids, keys, words, decoded, self._rekeyed)

@@ -96,15 +96,6 @@ class TraceCollector:
         self._sink = self.batches.append if sink is None else sink
         self._seq = 0
 
-    @property
-    def text(self) -> str:
-        """The held trace's lines, each ending in a newline."""
-        return "".join(batch.render() for batch in self.batches)
-
-    @property
-    def lines(self) -> list[str]:
-        return self.text.splitlines()
-
     def emit(self, rnd: int, stage: str, step: str, kind: str, ids: np.ndarray,
              **columns):
         """One line per id, in order, as one batch; each payload column is an

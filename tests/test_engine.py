@@ -27,7 +27,8 @@ from relsim.estimator import EstimationParams, gamma1
 from relsim.metrics import RunMetrics
 from relsim.protocol import Messages, Population
 from relsim.streams import StreamWindow
-from trace_events import events
+from round_draws import round_draws
+from trace_events import events, trace_lines
 
 PARAMS = EstimationParams(0.5, 0.1)
 
@@ -61,19 +62,35 @@ class TestRngStream:
         pids = np.arange(4)
         for rnd in (0, 3):
             for stage in ("query", "gossip"):
-                draws = window.stage(rnd, stage, pids)
+                draws = round_draws(window, rnd, stage, pids)
                 for pid in range(4):
                     fresh = rng_stream(99, pid, rnd, stage)
                     assert np.array_equal(draws.words[pid],
                                           fresh.bit_generator.random_raw(4))
                     fresh = rng_stream(99, pid, rnd, stage).random(5)
                     assert np.array_equal(draws.exact(pid).random(5), fresh)
+        # 300 live workers fill rounds 0-5; round 2 reads a shrunk live set
+        # from that window, whose rows sit apart in it, and round 6 refills.
+        n = 300
+        everyone = np.arange(n)
+        survivors = everyone[everyone % 3 != 1]
+        window = StreamWindow(99, n, last_round=40)
+        for rnd, pids, end in [(0, everyone, 6), (2, survivors, 6), (6, survivors, 16)]:
+            for stage in ("query", "gossip"):
+                draws = round_draws(window, rnd, stage, pids)
+                assert window.reach(rnd, pids) == end
+                for row, pid in enumerate(pids.tolist()):
+                    got, fresh = draws.exact(row), rng_stream(99, pid, rnd, stage)
+                    assert got.integers(n) == fresh.integers(n)
+                    assert got.random() == fresh.random()
+                    assert np.array_equal(got.choice(pids[:8], 3, replace=False),
+                                          fresh.choice(pids[:8], 3, replace=False))
 
     @pytest.mark.parametrize("seed", [2**63 + 1, 2**64 - 1])
     def test_large_seeds_use_the_full_uint64_key(self, seed, recwarn):
         key = rng_stream(seed, 1, 2, "query").bit_generator.state["state"]["key"]
         assert int(key[0]) == seed
-        window = StreamWindow(seed, 2, 4).stage(0, "query", np.arange(2))
+        window = round_draws(StreamWindow(seed, 2, 4), 0, "query", np.arange(2))
         fresh = rng_stream(seed, 1, 0, "query").bit_generator.random_raw(4)
         assert np.array_equal(window.words[1], fresh)
         assert not recwarn.list
@@ -186,7 +203,7 @@ class TestRun:
         b = run(config, collect_trace=True)
         assert a.metrics.per_processor_halt_round == b.metrics.per_processor_halt_round
         assert a.metrics.messages_total == b.metrics.messages_total
-        assert a.trace.lines == b.trace.lines
+        assert trace_lines(a.trace) == trace_lines(b.trace)
         for pid in a.estimates:
             assert np.array_equal(a.estimates[pid], b.estimates[pid],
                                   equal_nan=True)
@@ -260,7 +277,7 @@ class TestRun:
         a = run(base, collect_trace=True)
         b = run(literal, collect_trace=True)
         assert a.metrics.per_processor_halt_round == b.metrics.per_processor_halt_round
-        assert a.trace.lines == b.trace.lines
+        assert trace_lines(a.trace) == trace_lines(b.trace)
 
     def test_zero_crashes_zero_false_detections_when_cap_unbinding(self):
         result = run(RunConfig(n=64, params=PARAMS, seed=812))

@@ -50,7 +50,7 @@ from relsim.trace import (
     Batch,
     TraceCollector,
 )
-from trace_events import events
+from trace_events import events, trace_lines, trace_text
 
 # Payload keys of each event kind, in the order they are written.
 PAYLOAD_KEYS = {"send": ("type", "to", "ell"), "drop": ("type", "reason"),
@@ -194,6 +194,33 @@ class TestCliRun:
                      *flags]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["model"] == model
 
+    @staticmethod
+    def _module(*flags, **options):
+        """``python -m relsim`` with ``flags``, as a started process."""
+        src = str(Path(sys.modules["relsim"].__file__).parent.parent)
+        return subprocess.Popen([sys.executable, "-m", "relsim", *flags],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": src}, **options)
+
+    def test_python_m_relsim_runs_the_command(self):
+        out, err = self._module("run", "--n", "8", "--seed", "1", text=True).communicate(
+            timeout=120)
+        assert err == ""
+        assert json.loads(out)["config"]["seed"] == 1
+        bad = self._module("run", "--n", "0", text=True)
+        assert bad.communicate(timeout=120) == ("", "error: n must be >= 1, got 0\n")
+        assert bad.returncode == 2
+
+    def test_closed_stdout_ends_the_command_without_a_traceback(self):
+        # About 100 kB of estimates overfill the pipe, so the command is
+        # still writing when its reader closes it after the first line.
+        proc = self._module("run", "--n", "64", "--seed", "1", "--dump-estimates")
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
     def test_verify_only_runs_each_criterion_once(self, monkeypatch, capsys):
         calls = []
         result = CriterionResult(8, "stub", True, "ok")
@@ -259,7 +286,7 @@ class TestTraceArtifacts:
 
     def test_halt_event_schema(self):
         result = run(self._config(), collect_trace=True)
-        record = next(r for r in map(json.loads, result.trace.lines)
+        record = next(r for r in map(json.loads, trace_lines(result.trace))
                       if r["kind"] == "halt")
         assert {"round", "id", "kind"} <= set(record)
         assert record["kind"] == "halt"
@@ -278,12 +305,12 @@ class TestTraceArtifacts:
     @given(traced_configs(),
            st.one_of(st.none(), st.lists(st.sampled_from(EVENT_KINDS), unique=True)))
     def test_lines_match_reference_renderer(self, config, kinds):
-        full = run(config, collect_trace=True).trace.lines
+        full = trace_lines(run(config, collect_trace=True).trace)
         records = [json.loads(line) for line in full]
         assert full == [reference_line(r) for r in records]
         assert [r["seq"] for r in records] == list(range(len(records)))
         kept = [r for r in records if kinds is None or r["kind"] in kinds]
-        filtered = run(config, collect_trace=True, trace_kinds=kinds).trace.lines
+        filtered = trace_lines(run(config, collect_trace=True, trace_kinds=kinds).trace)
         assert filtered == [reference_line({**r, "seq": seq})
                             for seq, r in enumerate(kept)]
 
@@ -306,8 +333,8 @@ class TestTraceArtifacts:
             collector.emit(0, "query", "send", "crash", none)
             collector.emit(0, "query", "send", "send", none, type=0, to=none)
             collector.emit(2, "gossip", "compute", "halt", np.array([3]))
-        assert held.lines == ['{"v":1,"seq":0,"round":2,"stage":"gossip",'
-                              '"step":"compute","id":3,"kind":"halt"}']
+        assert trace_lines(held) == ['{"v":1,"seq":0,"round":2,"stage":"gossip",'
+                                     '"step":"compute","id":3,"kind":"halt"}']
         assert [(b.seq, b.kind) for b in batches] == [(0, "halt")]
 
     @pytest.mark.parametrize("kinds", [None, ["crash", "halt", "send", "drop"]])
@@ -353,8 +380,8 @@ class TestTraceArtifacts:
         emit(5, "query", "receive", "receive", [-3, 70000], type=request)
         # 100 lines whose seq crosses 99 -> 100, with or without the filter.
         emit(6, "query", "send", "crash", list(range(100)))
-        assert trace.lines == expected
-        assert trace.text == "".join(line + "\n" for line in expected)
+        assert trace_lines(trace) == expected
+        assert trace_text(trace) == "".join(line + "\n" for line in expected)
 
     @settings(max_examples=25)
     @given(traced_configs(),
@@ -372,7 +399,7 @@ class TestTraceArtifacts:
         # batches render to the same chunks.
         rendered = [batch.render() for batch in batches]
         assert rendered == [batch.render() for batch in held.batches]
-        assert "".join(rendered) == held.text
+        assert "".join(rendered) == trace_text(held)
 
     @pytest.mark.parametrize("kinds", [None, "halt,send"])
     def test_run_trace_file_matches_render_trace(self, tmp_path, kinds, capsys):

@@ -24,6 +24,7 @@ from relsim.protocol import (
 from relsim.streams import StreamWindow
 
 from pool_records import records_for
+from round_draws import round_draws
 
 PARAMS = EstimationParams(0.5, 0.1)
 G1 = gamma1(PARAMS)
@@ -42,7 +43,7 @@ def ids(*pids):
 
 
 def draws(pop, seed, rnd, stage, active):
-    return StreamWindow(seed, pop.n, rnd + 1).stage(rnd, stage, active)
+    return round_draws(StreamWindow(seed, pop.n, rnd + 1), rnd, stage, active)
 
 
 def gossip(src, dst, level, profess):
@@ -136,7 +137,7 @@ class TestQuery:
         window = StreamWindow(77, 16, 6250)
         counts = np.zeros(16, dtype=int)
         for r in range(6250):
-            dst = query_send(active, window.stage(r, "query", active)).dst
+            dst = query_send(active, round_draws(window, r, "query", active)).dst
             counts += np.bincount(dst, minlength=16)
         assert np.all(np.abs(counts - 6250) <= 300)
 

@@ -53,9 +53,31 @@ def test_whp_preset():
     # delta = 1/n**alpha is in its domain at n = 8 and out of it at n = 16.
     ("whp_preset.py", ["--grid", "8,16", "--trials", "1", "--alpha", "-0.3"],
      "delta 2.297"),
+    # n is checked before delta = 1/n**alpha is computed from it.
+    ("whp_preset.py", ["--grid", "0,8"], "n must be >= 1, got 0"),
+    ("whp_preset.py", ["--grid", "-4", "--alpha", "0.5"], "n must be >= 1, got -4"),
+    ("whp_preset.py", ["--grid", "-4"], "n must be >= 1, got -4"),
+    ("whp_preset.py", ["--grid", "8", "--alpha", "1e308"],
+     "delta = 1/n**alpha is out of range at n = 8"),
+    ("whp_preset.py", ["--grid", "8", "--alpha=-1e308"],
+     "delta = 1/n**alpha is out of range at n = 8"),
 ])
 def test_bad_input_exits_2_with_a_message(name, flags, message):
     done = run_script(name, *flags, status=2)
     assert done.stderr.startswith("error: ") and message in done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+def test_closed_stdout_ends_a_script_without_a_traceback():
+    # The reader is gone before the script starts; with stdout block-buffered,
+    # the table fails to go out only when it is flushed at the end.
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with os.fdopen(write, "wb") as stdout:
+        done = subprocess.run([sys.executable, str(REPO / "scripts" / "whp_preset.py"),
+                               "--grid", "8", "--trials", "1"],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              env={**env, "PYTHONPATH": SRC}, timeout=120)
+    assert (done.returncode, done.stderr) == (141, "")

@@ -22,14 +22,18 @@ from relsim.streams import (
     stream_key,
 )
 
+from round_draws import round_draws
+
 SEED = 2024
 HUGE_N = 2**30 + 1  # Lemire rejects about a quarter of first draws
 
 
 def stage_draws(n, pids, rnd=3, stage="query", seed=SEED):
     pids = np.asarray(pids, dtype=np.int64)
-    words = philox_first_block(seed, stream_key(seed, pids, rnd, stage)[1])
-    return StageDraws(seed, rnd, stage, n, pids, words, decode(words, n), RekeyedStream())
+    keys = stream_key(seed, pids, rnd, stage)[1]
+    words = philox_first_block(seed, keys)
+    return StageDraws(np.full(pids.size, rnd), n, pids, keys, words, decode(words, n),
+                      RekeyedStream(seed))
 
 
 def fresh(pid, rnd=3, stage="query", seed=SEED):
@@ -147,24 +151,39 @@ def test_one_key_call_builds_every_stage_of_a_window():
     assert window.reach(4, pids) == 7
     for at, stage in enumerate(stages):
         for r in rounds.tolist():
-            assert np.array_equal(window.stage(r, stage, pids).words,
+            assert np.array_equal(round_draws(window, r, stage, pids).words,
                                   philox_first_block(SEED, words[at, r - 4]))
 
 
-@pytest.mark.parametrize("pid, rnd, stage", [
-    (np.array([0, 1 << 30]), 0, "query"),
-    (np.array([3, -1]), 0, "query"),
-    (np.array([0, 1]), np.array([[0], [1 << 30]]), "gossip"),
-    (np.array([0, 1]), np.array([2, -1]), "gossip"),
-    (1 << 30, 0, "query"),
-    (3, -1, "query"),
-    (0, 0, "bogus"),
-    (np.array([0]), 0, "bogus"),
-    (np.array([0]), 0, np.array([2, 16])),
+TOO_WIDE = "processor id and round must fit in 30 bits"
+
+
+@pytest.mark.parametrize("pid, rnd, stage, message", [
+    pytest.param(np.array([0, 1 << 30]), 0, "query", TOO_WIDE, id="pid0-0-query"),
+    pytest.param(np.array([3, -1]), 0, "query", TOO_WIDE, id="pid1-0-query"),
+    pytest.param(np.array([0, 1]), np.array([[0], [1 << 30]]), "gossip", TOO_WIDE,
+                 id="pid2-rnd2-gossip"),
+    pytest.param(np.array([0, 1]), np.array([2, -1]), "gossip", TOO_WIDE,
+                 id="pid3-rnd3-gossip"),
+    pytest.param(1 << 30, 0, "query", TOO_WIDE, id="1073741824-0-query"),
+    pytest.param(3, -1, "query", TOO_WIDE, id="3--1-query"),
+    pytest.param(0, 0, "bogus", "invalid stage 'bogus'", id="0-0-bogus"),
+    pytest.param(np.array([0]), 0, "bogus", "invalid stage 'bogus'", id="pid7-0-bogus"),
+    pytest.param(np.array([0]), 0, np.array([2, 16]), "invalid stage", id="pid8-0-stage8"),
+    pytest.param(np.int64(3), 1 << 30, 2, TOO_WIDE, id="int64-pid-round-2**30"),
+    pytest.param(1 << 64, 0, "query", TOO_WIDE, id="pid-2**64"),
+    pytest.param(0, -1 << 70, "gossip", TOO_WIDE, id="round--2**70"),
+    pytest.param(0, 0, 16, "invalid stage 16", id="stage-16"),
+    pytest.param(0, 0, -1, "invalid stage -1", id="stage--1"),
+    pytest.param(0, 0, 1 << 64, "invalid stage 18446744073709551616", id="stage-2**64"),
 ])
-def test_stream_key_rejects_parts_outside_their_domain(pid, rnd, stage):
-    with pytest.raises(ValueError):
+def test_stream_key_rejects_parts_outside_their_domain(pid, rnd, stage, message):
+    with pytest.raises(ValueError, match=message):
         stream_key(SEED, pid, rnd, stage)
+    # rng_stream takes one key through the same checks.
+    if np.ndim(pid) == np.ndim(rnd) == np.ndim(stage) == 0:
+        with pytest.raises(ValueError, match=message):
+            rng_stream(SEED, pid, rnd, stage)
 
 
 def test_window_spans_rounds_and_shrinking_live_set():
@@ -174,7 +193,7 @@ def test_window_spans_rounds_and_shrinking_live_set():
     for rnd, pids in [(0, everyone), (1, everyone), (2, survivors), (9, survivors),
                       (60, survivors)]:
         for stage in ("query", "gossip"):
-            words = window.stage(rnd, stage, pids).words
+            words = round_draws(window, rnd, stage, pids).words
             for row, pid in enumerate(pids.tolist()[:5]):
                 raw = fresh(pid, rnd, stage).bit_generator.random_raw(4)
                 assert np.array_equal(words[row], raw)
@@ -191,7 +210,7 @@ def test_window_decoded_draws_match_raw_words(n):
     cap = 2
     for rnd, pids in [(0, everyone), (1, everyone), (2, survivors), (5, survivors)]:
         for stage in ("query", "gossip"):
-            got = window.stage(rnd, stage, pids)
+            got = round_draws(window, rnd, stage, pids)
             want = stage_draws(n, pids, rnd, stage)
             assert np.array_equal(got.words, want.words)
             assert got.index().tolist() == want.index().tolist()
@@ -205,7 +224,7 @@ def test_window_decoded_draws_match_raw_words(n):
         requesters = np.concatenate([np.arange(c) * 7 + r for r, c in zip(rows, count)])
         p = np.linspace(0.1, 0.9, rows.size).repeat(count)
         rows = rows.repeat(count)
-        got = window.stage(rnd, "query", pids).serve(rows, requesters, cap, p)
+        got = round_draws(window, rnd, "query", pids).serve(rows, requesters, cap, p)
         want = stage_draws(n, pids, rnd, "query").serve(rows, requesters, cap, p)
         for a, b in zip(got, want):
             assert a.tolist() == b.tolist()

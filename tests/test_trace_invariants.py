@@ -28,7 +28,7 @@ from relsim.adversary import (
 from relsim.engine import RunConfig, run
 from relsim.estimator import EstimationParams
 from relsim.trace import CODED_COLUMNS, CODES, Batch, TraceCollector
-from trace_events import events
+from trace_events import events, trace_lines
 
 Q = EstimationParams(0.8, 0.4)
 
@@ -98,7 +98,7 @@ def _with_lines(result, lines):
     """``result`` holding a trace of ``lines``, as one-line batches."""
     trace = TraceCollector()
     trace.batches.extend(_batches(lines))
-    assert trace.lines == lines
+    assert trace_lines(trace) == lines
     return replace(result, trace=trace)
 
 
@@ -162,13 +162,13 @@ EDITS = {
 def test_checker_matches_reference_on_real_traces(name):
     result, checker = _traced(CONFIGS[name])
     assert checker.problems(result.metrics) == reference_check(result) == []
-    assert _checked_lines(result, result.trace.lines) == []
+    assert _checked_lines(result, trace_lines(result.trace)) == []
 
 
 @pytest.mark.parametrize("edit", sorted(EDITS))
 def test_checker_matches_reference_on_broken_traces(edit):
     result, _ = _traced(CONFIGS["lf-upfront"])
-    lines = EDITS[edit](result.trace.lines)
+    lines = EDITS[edit](trace_lines(result.trace))
     problems = _checked_lines(result, lines)
     assert problems and problems == reference_check(_with_lines(result, lines))
 

@@ -1,4 +1,4 @@
-"""Trace lines parsed back into events, for tests that read a held trace."""
+"""A held trace as text, lines and parsed events, for tests that read one."""
 
 import json
 from dataclasses import dataclass
@@ -25,6 +25,17 @@ class TraceEvent:
                           payload=record)
 
 
+def trace_text(trace) -> str:
+    """The lines of a ``TraceCollector`` that holds its trace, each ending in
+    a newline."""
+    return "".join(batch.render() for batch in trace.batches)
+
+
+def trace_lines(trace) -> list[str]:
+    """The lines of a ``TraceCollector`` that holds its trace."""
+    return trace_text(trace).splitlines()
+
+
 def events(trace) -> list[TraceEvent]:
     """The events of a ``TraceCollector`` that holds its trace."""
-    return [TraceEvent.from_line(line) for line in trace.lines]
+    return [TraceEvent.from_line(line) for line in trace_lines(trace)]
