@@ -24,7 +24,8 @@ from pathlib import Path
 from relsim.adversary import FractionalPolynomial, LinearFraction, UpfrontCrashes
 from relsim.engine import RunConfig
 from relsim.estimator import EstimationParams
-from relsim.harness import ExperimentSpec, exit_status, parse_grid, sweep, write_sweep_csv
+from relsim.harness import (ExperimentSpec, UsageError, exit_status, parse_grid, sweep,
+                            write_sweep_csv)
 from relsim.metrics import scaling_fit
 
 # Per model, the defaults of the flags left unset; --f and --a each belong
@@ -86,6 +87,9 @@ def main() -> int:
                 parser.error(f"--{key} needs --model {model}")
 
     grid = parse_grid(args.grid)
+    if args.model == "lf" and min(grid) < 2:
+        # Every lf column divides by log2 n, which is 0 at n = 1.
+        raise UsageError(f"--model lf needs every n >= 2, got {min(grid)}")
     model = (LinearFraction(args.f) if args.model == "lf"
              else FractionalPolynomial(args.a, 1.0))
     base = RunConfig(

@@ -254,16 +254,28 @@ def render_trace(result: RunResult) -> str:
 
 
 class _SameAs:
-    """A trace sink that compares each batch's text with the next bytes of a file."""
+    """A trace sink that compares each batch's text with the next bytes of a
+    file, and describes the first difference."""
 
     def __init__(self, source):
         self.source = source
-        self.same = True
+        self.difference = None
+        # Line number of the next regenerated line; the header is line 1.
+        self.line = 2
 
     def __call__(self, batch: Batch) -> None:
-        if self.same:
-            data = batch.render().encode()
-            self.same = self.source.read(len(data)) == data
+        if self.difference:
+            return
+        data = batch.render().encode()
+        read = self.source.read(len(data))
+        if read != data:
+            at = next((i for i, (a, b) in enumerate(zip(read, data)) if a != b), len(read))
+            line = batch.seq + 2 + data.count(b"\n", 0, at)
+            self.difference = (
+                f"line {line} (round {batch.round}) differs from the regenerated trace"
+                if at < len(read) else
+                f"the file ends before line {line} (round {batch.round}) is complete")
+        self.line = batch.seq + 2 + len(batch.ids)
 
 
 # --- sweep ---------------------------------------------------------------------
@@ -460,12 +472,16 @@ def _cmd_replay(args) -> int:
         kinds = _trace_kinds(header.get("trace_kinds"))
         rest = _SameAs(source)
         engine.run(config, trace_kinds=kinds, trace_sink=rest)
-        same = (first == _trace_header(config, kinds).encode()
-                and rest.same and not source.read(1))
-    if same:
-        print("replay OK: trace is byte-identical")
-        return 0
-    print("replay MISMATCH: regenerated trace differs")
+        if first != _trace_header(config, kinds).encode():
+            difference = "line 1, the header, differs from the regenerated one"
+        elif rest.difference:
+            difference = rest.difference
+        elif source.read(1):
+            difference = f"the file goes on at line {rest.line}, after the regenerated trace ends"
+        else:
+            print("replay OK: trace is byte-identical")
+            return 0
+    print(f"replay MISMATCH: {difference}")
     return 1
 
 

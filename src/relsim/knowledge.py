@@ -32,9 +32,11 @@ only the records after it -- a contiguous suffix of the pool's arrays --
 differ between rows.  Per-target facts about the whole pool, kept up to
 date as each round's records arrive, answer everything before the cut:
 each target's record and correct counts, its first crash round, and the
-round and value at which its correct count crosses the threshold.  After
-the smallest cut of a batch, ``satisfied`` counts each open target's known
-correct and crash records, and ``estimate_all`` replays them in order.
+round and value at which its correct count crosses the threshold.  One
+rule computes what new records settle, for ``add_records``, which commits
+it to these facts, and for ``settling_round``, which only looks ahead.
+After the smallest cut of a batch, ``satisfied`` counts each open target's
+known correct and crash records, and ``estimate_all`` replays them in order.
 """
 
 from __future__ import annotations
@@ -145,14 +147,6 @@ def snapshot_runs(dst: np.ndarray, src: np.ndarray, rnd: np.ndarray) -> list[int
     return cuts + [len(dst)]
 
 
-def _firsts(values: np.ndarray, rnd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ``values`` and the round of each one's first occurrence,
-    for ``rnd`` ascending."""
-    order = values.argsort(kind="stable")
-    distinct, bounds = runs(values[order])
-    return distinct, rnd[order[bounds[:-1]]]
-
-
 def _crossing(bounds: np.ndarray, correct: np.ndarray, base, needed: int, counted=True):
     """Whether each group's correct count reaches ``needed``, and how many
     ``counted`` records come before the record where it does.
@@ -207,10 +201,8 @@ class RecordPool:
         self._cross_round = np.full(n, _NEVER, dtype=np.int32)
         self._cross_value = np.full(n, np.nan)
         self._last = np.full(n, -1, dtype=np.int32)
-        # Targets crossed, and targets settled globally by a crossing or a
-        # crash record: a row can settle a target only if the union of
-        # everything created does.
-        self._num_crossed = 0
+        # Targets settled globally by a crossing or a crash record: a row can
+        # settle a target only if the union of everything created does.
         self._num_settled = 0
 
     def __len__(self) -> int:
@@ -254,66 +246,61 @@ class RecordPool:
         rnd, tgt, res = self._rnd[start:end], self._tgt[start:end], self._res[start:end]
         # Rounds ascend, so each creator's newest round is its largest.
         np.maximum.at(self._last, creators, rnd)
-        correct = res == 1
-        hits = np.bincount(tgt[correct], minlength=self.n)
+        hits = np.bincount(tgt[res == 1], minlength=self.n)
+        (targets, at, prior), (crashed, first) = self._settles(rnd, tgt, res, hits)
+        self._cross_round[targets] = rnd[at]
+        self._cross_value[targets] = self.gamma1 / (
+            self._total[targets] + prior).astype(np.float64)
+        self._first_crash[crashed] = first
         self._total_correct += hits
-        reached = self._total_correct >= self.needed
-        crossing = np.count_nonzero(reached) > self._num_crossed
-        if crossing:
-            targets, at, prior = self._crossings(
-                tgt, correct, reached & (self._cross_round == _NEVER),
-                self._total_correct - hits)
-            self._num_crossed += targets.size
-            self._cross_round[targets] = rnd[at]
-            self._cross_value[targets] = self.gamma1 / (
-                self._total[targets] + prior).astype(np.float64)
         self._total += np.bincount(tgt, minlength=self.n)
-        crash = res == -1
-        fresh = 0
-        if np.count_nonzero(crash):
-            targets, first = _firsts(tgt[crash], rnd[crash])
-            new = self._first_crash[targets] == _NEVER
-            self._first_crash[targets[new]] = first[new]
-            fresh = np.count_nonzero(new)
-        if crossing or fresh:
+        if targets.size or crashed.size:
             self._num_settled = np.count_nonzero(
                 np.minimum(self._cross_round, self._first_crash) != _NEVER)
 
-    def _crossings(self, tgt, correct, crossed, base):
-        """Where the targets flagged in ``crossed`` reach the threshold among
-        new records ``tgt``, ``correct`` (in creation order), counting from
-        ``base``: the targets, the index of each one's crossing record and
-        the number of its new records before that one.
-        """
-        # Every new record about a crossing target, grouped by target in
-        # creation order: those before the crossing record are below it.
-        pick = np.flatnonzero(crossed[tgt])
-        pick = pick[np.argsort(tgt[pick], kind="stable")]
-        targets, bounds = runs(tgt[pick])
-        _, prior = _crossing(bounds, correct[pick], base[targets], self.needed)
-        return targets, pick[bounds[:-1] + prior], prior
+    def _settles(self, rnd, tgt, res, hits):
+        """What new records ``rnd``, ``tgt``, ``res`` (in creation order, with
+        ``hits`` correct ones per target) settle: the targets they bring to
+        the threshold, each one's crossing-record index and number of new
+        records before that one; and the targets they first report crashed,
+        each one's first crash round."""
+        base = self._total_correct
+        crossed = (base < self.needed) & (base + hits >= self.needed)
+        targets = at = prior = crashed = first = np.empty(0, dtype=np.intp)
+        if crossed.any():
+            # Every new record about a crossing target, grouped by target in
+            # creation order: those before the crossing record are below it.
+            pick = np.flatnonzero(crossed[tgt])
+            pick = pick[np.argsort(tgt[pick], kind="stable")]
+            targets, bounds = runs(tgt[pick])
+            _, prior = _crossing(bounds, res[pick] == 1, base[targets], self.needed)
+            at = pick[bounds[:-1] + prior]
+        # The crash records about targets not yet reported crashed, grouped
+        # by target in creation order: each group starts at its first.
+        crash = np.flatnonzero(res == -1)
+        crash = crash[self._first_crash[tgt[crash]] == _NEVER]
+        if crash.size:
+            crash = crash[tgt[crash].argsort(kind="stable")]
+            crashed, bounds = runs(tgt[crash])
+            first = rnd[crash[bounds[:-1]]]
+        return (targets, at, prior), (crashed, first)
 
     def settling_round(self, rnd: np.ndarray, tgt: np.ndarray, res: np.ndarray):
         """The round after whose records the pool would first be globally
         estimable, were the records ``rnd``, ``tgt``, ``res`` added in
         creation order; None if not even after all of them.  Adds nothing.
         """
-        when = np.minimum(self._cross_round, self._first_crash).astype(np.int64)
-        open_ = when == _NEVER
-        correct, crash = res == 1, res == -1
-        base = self._total_correct
-        hits = np.bincount(tgt[correct], minlength=self.n)
-        crossed = open_ & (base + hits >= self.needed)
+        when = np.minimum(self._cross_round, self._first_crash)
+        hits = np.bincount(tgt[res == 1], minlength=self.n)
         # Most blocks leave some target without a crossing or a crash record.
-        reached = crossed | ~open_
-        reached[tgt[crash]] = True
+        reached = (when != _NEVER) | (self._total_correct + hits >= self.needed)
+        reached[tgt[res == -1]] = True
         if not reached.all():
             return None
-        targets, at, _ = self._crossings(tgt, correct, crossed, base)
-        when[targets] = rnd[at]
         # A target settled before these records keeps its earlier round.
-        targets, first = _firsts(tgt[crash], rnd[crash])
-        when[targets] = np.minimum(when[targets], first)
+        (targets, at, _), (crashed, first) = self._settles(rnd, tgt, res, hits)
+        when[targets] = np.minimum(when[targets], rnd[at])
+        when[crashed] = np.minimum(when[crashed], first)
         return int(when.max())
 
     def newest(self, creators: np.ndarray) -> np.ndarray:

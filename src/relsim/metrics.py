@@ -173,9 +173,12 @@ def scaling_fit(
     values = [float(v) for _, v in series]
     if any(v <= 0 for v in values):
         raise MetricsDomainError("metric values must be positive")
-    normalized = tuple(v / fn(n) for (n, _), v in zip(series, values))
+    expected = [fn(n) for n in sizes]
+    if any(e <= 0 for e in expected):
+        raise MetricsDomainError(f"the growth model must be positive at every n of {sizes}")
+    normalized = tuple(v / e for v, e in zip(values, expected))
     ratios = tuple(b / a for a, b in zip(normalized, normalized[1:]))
-    xs = np.log([fn(n) for n in sizes])
+    xs = np.log(expected)
     ys = np.log(values)
     slope = float(np.polyfit(xs, ys, 1)[0])
     mean = sum(normalized) / len(normalized)

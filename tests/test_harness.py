@@ -430,9 +430,20 @@ class TestTraceArtifacts:
         path = tmp_path / "run.trace"
         assert main(["run", "--n", "8", "--seed", "5", "--trace", str(path)]) == 0
         capsys.readouterr()
-        path.write_bytes(TRACE_EDITS[edit](path.read_bytes()))
+        data = TRACE_EDITS[edit](path.read_bytes())
+        path.write_bytes(data)
         assert main(["replay", "--trace", str(path)]) == 1
-        assert "MISMATCH" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "MISMATCH" in out
+        # The first line that differs, 1-based with the header as line 1.
+        lines, middle = data.count(b"\n"), data[:len(data) // 2].count(b"\n") + 1
+        named = {
+            "byte-changed": f"line {middle} (round ",
+            "last-line-removed": f"the file ends before line {lines + 1} (round ",
+            "line-appended": f"the file goes on at line {lines},",
+            "header-respaced": "line 1, the header, differs",
+        }[edit]
+        assert named in out
 
 
 class TestSweep:

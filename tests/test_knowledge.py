@@ -325,6 +325,7 @@ def _assert_same_facts(pool, other):
         assert np.array_equal(getattr(pool, name), getattr(other, name),
                               equal_nan=True), name
     assert pool.globally_estimable() == other.globally_estimable()
+    assert pool._tail == other._tail
 
 
 @settings(max_examples=150, deadline=None)
@@ -419,3 +420,33 @@ def test_settling_round_at_a_crash_record_of_the_last_open_target():
     assert not pool.globally_estimable()
     pool.add_records([1], r + 1, tgt[1:2], res[1:2])
     assert pool.globally_estimable()
+
+
+@pytest.mark.parametrize("plan, settles, cross, before, crash", [
+    ([(1, -1)] + [(1, 1)] * 5, 0, 5, 11, 0),
+    ([(1, 1)] * 5 + [(1, 0), (0, -1)], 5, 5, 10, 6),
+    ([(1, 1)] * 5 + [(-1, 1)], 5, 5, 11, 5),
+    ([(1, 1)] * 5 + [(1, -1)], 5, 5, 10, 5),
+], ids=["crash-then-cross", "cross-then-crash", "crash-and-cross", "cross-and-crash"])
+def test_crossing_and_crash_records_of_the_last_open_target(plan, settles, cross,
+                                                            before, crash):
+    # In round r + i, creators 0 and 1 report the res values plan[i] about
+    # target 1, the last open one.  Target 1 settles in round r + settles,
+    # crosses the threshold in round r + cross with ``before`` of its records
+    # before the crossing record, and is first reported crashed in round
+    # r + crash.
+    blocked, by_round = _first_target_crossed(), _first_target_crossed()
+    r = blocked.needed
+    rnd = np.repeat(np.arange(r, r + len(plan)), 2)
+    creators, tgt, res = np.tile([0, 1], len(plan)), np.ones_like(rnd), np.ravel(plan)
+    first = None
+    for i, pair in enumerate(plan):
+        by_round.add_records([0, 1], r + i, [1, 1], pair)
+        if first is None and by_round.globally_estimable():
+            first = r + i
+    assert first == r + settles
+    assert blocked.settling_round(rnd, tgt, res) == r + settles
+    blocked.add_records(creators, rnd, tgt, res)
+    assert (blocked._cross_round[1], blocked._first_crash[1]) == (r + cross, r + crash)
+    assert blocked._cross_value[1] == blocked.gamma1 / before
+    _assert_same_facts(blocked, by_round)

@@ -161,6 +161,11 @@ class TestScalingFit:
         with pytest.raises(MetricsDomainError):
             scaling_fit([(128, 1.0), (256, 2.0)], "log2")
 
+    def test_model_zero_at_a_grid_point(self):
+        # log2 1 = 0: no metric can be normalized by it.
+        with pytest.raises(MetricsDomainError, match="positive"):
+            scaling_fit([(1, 3.0), (2, 5.0), (4, 7.0)], "log2")
+
     def test_callable_model(self):
         series = [(n, 5.0 * n) for n in (10, 100, 1000)]
         report = scaling_fit(series, lambda n: float(n))

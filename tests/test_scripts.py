@@ -61,6 +61,9 @@ def test_whp_preset():
      "delta = 1/n**alpha is out of range at n = 8"),
     ("whp_preset.py", ["--grid", "8", "--alpha=-1e308"],
      "delta = 1/n**alpha is out of range at n = 8"),
+    # lf divides by log2 n, which is 0 at n = 1; the grid is checked before any run.
+    ("scaling.py", ["--model", "lf", "--grid", "1,2,4", "--trials", "1", "--jobs", "1"],
+     "--model lf needs every n >= 2, got 1"),
 ])
 def test_bad_input_exits_2_with_a_message(name, flags, message):
     done = run_script(name, *flags, status=2)
