@@ -90,6 +90,9 @@ def main() -> int:
     if args.model == "lf" and min(grid) < 2:
         # Every lf column divides by log2 n, which is 0 at n = 1.
         raise UsageError(f"--model lf needs every n >= 2, got {min(grid)}")
+    if args.model == "lf" and len(grid) < 3:
+        # The spread and slope lines fit the growth over the grid.
+        raise UsageError(f"--model lf needs at least 3 grid points, got {len(grid)}")
     model = (LinearFraction(args.f) if args.model == "lf"
              else FractionalPolynomial(args.a, 1.0))
     base = RunConfig(

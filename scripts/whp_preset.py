@@ -7,6 +7,7 @@ fraction per size; it should rise toward 1 with n.
 """
 
 import argparse
+import sys
 
 from relsim.adversary import LinearFraction, NoCrashes, UniformReliability
 from relsim.engine import ConfigError, RunConfig
@@ -51,8 +52,13 @@ def main() -> int:
         within = sum(r["n_within"] for r in rows)
         numeric = sum(r["n_numeric_live"] for r in rows)
         undetermined = sum(r["undetermined"] for r in rows)
-        print(f"{spec.base.n:>6} {spec.base.params.delta:>12.5f} {within / numeric:>8.4f} "
+        in_band = f"{within / numeric:.4f}" if numeric else "-"
+        print(f"{spec.base.n:>6} {spec.base.params.delta:>12.5f} {in_band:>8} "
               f"{undetermined:>13}")
+        if not numeric:
+            capped = sum(r["completion"] == "round_cap_hit" for r in rows)
+            print(f"note: n = {spec.base.n}: no numeric estimate; {capped} of {len(rows)} "
+                  "runs stopped at the round cap", file=sys.stderr)
     return 0
 
 

@@ -152,7 +152,10 @@ class PolyLog:
     def survivor_floor(self, n: int) -> float:
         if n == 1:
             return 0.0
-        return self.coeff * math.log2(n) ** self.c
+        try:
+            return self.coeff * math.log2(n) ** self.c
+        except OverflowError:  # more survivors than any n has
+            return math.inf
 
 
 AdversaryModel = Union[LinearFraction, FractionalPolynomial, PolyLog]

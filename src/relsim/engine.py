@@ -341,7 +341,7 @@ def run(
                 requests, received, request_drops, responses = (
                     m.take(slice(m.rnd.searchsorted(end)))
                     for m in (requests, received, request_drops, responses))
-                pairs_pid, res = pairs_pid[:len(requests)], res[:len(requests)]
+                res = res[:len(requests)]
         live = len(requests)  # processor-rounds in the block
         metrics.count_messages("task_request", live)
         to_crashed = metrics.dropped_to_crashed
@@ -375,7 +375,7 @@ def run(
 
         # ---- gossip stage ---------------------------------------------------
         gossip = protocol.gossip_send(
-            pop, pairs_pid, window.stage(requests.rnd, "gossip", pairs_pid))
+            pop, requests.src, window.stage(requests.rnd, "gossip", requests.src))
         metrics.account_step(3 * live, messages=len(gossip))
         professes = int(np.count_nonzero(gossip.is_profess))
         metrics.count_messages("share", len(gossip) - professes)

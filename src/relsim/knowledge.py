@@ -345,12 +345,10 @@ class RecordPool:
         """Estimates of the targets that neither crossed nor crashed by
         ``cut``, for a block of rows that each know every record of a round
         ``<= cut``.  Returns those of the targets with suffix records, per
-        row: ``gamma1 / N`` at the row's crossing, ``CRASHED`` on a known
-        crash record, NaN otherwise.
+        row: ``gamma1 / N`` at the row's crossing, NaN otherwise.
         """
         targets, bounds, before_correct, src, rnd, res = self._open(cut)
-        starts = bounds[:-1]
-        correct, crash = res == 1, res == -1
+        correct = res == 1
         # The records up to the cut are all known, and none crosses.
         before = self._total[targets] - np.diff(bounds)
         values = np.full((len(known), targets.size), np.nan)
@@ -362,7 +360,6 @@ class RecordPool:
                                        self.needed, knows)
             block = values[i:i + step]
             block[crossed] = self.gamma1 / (before + prior)[crossed].astype(np.float64)
-            block[np.logical_or.reduceat(knows & crash, starts, axis=1)] = CRASHED
         return targets, values
 
     def satisfied(self, known: np.ndarray) -> np.ndarray:
@@ -413,7 +410,8 @@ class RecordPool:
         estimates = np.tile(settled, (len(rows), 1))
         targets, values = self._replay(rows, cut)
         estimates[:, targets] = values
-        # A target can cross by the cut and crash after it.
+        # A known crash record after the cut marks its target, crossed by the
+        # cut or not.
         start = self._suffix(cut)
         crash = np.flatnonzero(self._res[start:self._count] == -1) + start
         src, rnd, tgt = self._src[crash], self._rnd[crash], self._tgt[crash]

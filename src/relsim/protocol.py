@@ -58,13 +58,13 @@ def request_cap(n: int) -> int:
     return max(1, ceil_log2(n))
 
 
-def profess_fanout(level: int, n: int) -> int:
-    """Number of destination draws for a profess at the given level.
+def profess_fanout(level: np.ndarray, n: int) -> np.ndarray:
+    """Number of destination draws for a profess at each of the given levels.
 
-    ``ceil(2**(level-1) * log2(n))``, at least 1.  Level 0 gives the
-    half-log fan-out that seeds the multicast growth.
+    ``ceil(2**(level-1) * log2(n))``, at least 1 (so 1 at n = 1).  Level 0
+    gives the half-log fan-out that seeds the multicast growth.
     """
-    return max(1, math.ceil(2.0 ** (level - 1) * math.log2(n))) if n > 1 else 1
+    return np.maximum(1, np.ceil(2.0 ** (level - 1) * math.log2(n))).astype(np.int64)
 
 
 # --- messages and state --------------------------------------------------------
@@ -216,32 +216,23 @@ def response_compute(pop: Population, active: np.ndarray,
 
 
 def gossip_send(pop: Population, active: np.ndarray, draws: StageDraws) -> Messages:
-    """Emit this round's gossip.
+    """Emit this round's gossip: each sender's full knowledge to the set of
+    its uniform draws (with replacement, deduplicated).
 
-    Enlightened: profess the full knowledge to ``profess_fanout`` uniform
-    draws (with replacement, deduplicated into a set of destinations), then
-    raise the level.  Otherwise: share the full knowledge with one uniform
-    peer.  Self-targeting is allowed everywhere and is what lets the last
+    Enlightened: profess to ``profess_fanout`` draws, then raise the level.
+    Otherwise: share with one draw, a fan-out of one, so one ``fanout``
+    call serves every sender; a round with no profess reads ``index``.
+    Self-targeting is allowed everywhere and is what lets the last
     unhalted processor stop itself.
     """
     professing = pop.enlightened[active]
+    level = pop.level[active]
     if not np.count_nonzero(professing):
-        return Messages(active, draws.index(), pop.level[active], professing,
-                        rnd=draws.rnd)
-    sharers = np.flatnonzero(~professing)
-    professors = np.flatnonzero(professing)
-    levels = pop.level[active[professors]]
-    distinct, _ = runs(np.sort(levels))
-    fanout = np.array([profess_fanout(v, pop.n) for v in distinct.tolist()])
-    rows, dst = draws.fanout(professors, fanout[distinct.searchsorted(levels)])
-    if sharers.size:
-        rows = np.concatenate((sharers, rows))
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        dst = np.concatenate((draws.index(sharers), dst))[order]
-    src = active[rows]
-    out = Messages(src, dst, pop.level[src], professing[rows], rnd=draws.rnd[rows])
-    pop.level[active[professors]] += 1
+        return Messages(active, draws.index(), level, professing, rnd=draws.rnd)
+    k = np.where(professing, profess_fanout(level, pop.n), 1)
+    rows, dst = draws.fanout(np.arange(active.size), k)
+    out = Messages(active[rows], dst, level[rows], professing[rows], rnd=draws.rnd[rows])
+    pop.level[active[professing]] += 1
     return out
 
 

@@ -197,16 +197,14 @@ class StageDraws:
         """Row positions of the pairs ``(rnd[i], pids[i])``, each one a row."""
         return (self.rnd * self.n + self.pids).searchsorted(rnd * self.n + pids)
 
-    def index(self, rows=None) -> np.ndarray:
-        """``integers(n)`` of every row, or of the rows listed."""
-        value, rejected = self._first, self._rejected
-        if rows is not None:
-            value, rejected = value[rows], rejected[rows]
-        if np.count_nonzero(rejected):
+    def index(self) -> np.ndarray:
+        """``integers(n)`` of every row, which is ``fanout`` of every row
+        with ``k = 1``, read from the decoded first draws."""
+        value = self._first
+        if np.count_nonzero(self._rejected):
             value = value.copy()
-            for i in np.flatnonzero(rejected).tolist():
-                row = i if rows is None else rows[i]
-                value[i] = self.exact(row).integers(self.n)
+            for row in np.flatnonzero(self._rejected).tolist():
+                value[row] = self.exact(row).integers(self.n)
         return value
 
     def fanout(self, rows: np.ndarray, k: np.ndarray):

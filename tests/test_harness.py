@@ -255,7 +255,8 @@ class TestPSpec:
 REJECTED_RUNS = [["--n", "0"], ["--n", "8", "--epsilon", "1.5"],
                  ["--n", "4", "--model", "pl", "--c", "3"],
                  ["--n", "8", "--p-spec", "constant:1.5"],
-                 ["--n", "3", "--p-spec", "explicit:0.5,0.5"]]
+                 ["--n", "3", "--p-spec", "explicit:0.5,0.5"],
+                 ["--n", "3", "--model", "pl", "--c", "1e308"]]
 
 
 class TestTraceArtifacts:

@@ -113,7 +113,7 @@ class TestHelpers:
         (5, 1, 1),
     ])
     def test_profess_fanout(self, level, n, expected):
-        assert profess_fanout(level, n) == expected
+        assert profess_fanout(np.array([level, level]), n).tolist() == [expected] * 2
 
 
 class TestQuery:

@@ -43,6 +43,14 @@ def test_whp_preset():
     assert [line.split()[0] for line in rows(lines, ["8", "16"])] == ["8", "16"]
 
 
+def test_whp_preset_marks_a_size_with_no_numeric_estimate():
+    # delta = 8**-30 needs more rounds than the cap allows, so nobody halts.
+    done = run_script("whp_preset.py", "--grid", "8", "--alpha", "30", "--trials", "1")
+    assert rows(done.stdout.splitlines(), ["8"])[0].split()[2] == "-"
+    assert done.stderr == ("note: n = 8: no numeric estimate; "
+                           "1 of 1 runs stopped at the round cap\n")
+
+
 @pytest.mark.parametrize("name, flags, message", [
     ("scaling.py", ["--model", "fp", "--grid", "64,16", "--trials", "1"],
      "grid must be nonempty and strictly increasing"),
@@ -64,6 +72,9 @@ def test_whp_preset():
     # lf divides by log2 n, which is 0 at n = 1; the grid is checked before any run.
     ("scaling.py", ["--model", "lf", "--grid", "1,2,4", "--trials", "1", "--jobs", "1"],
      "--model lf needs every n >= 2, got 1"),
+    # lf fits each metric's growth over the grid, which takes 3 points.
+    ("scaling.py", ["--model", "lf", "--grid", "4,8", "--trials", "1", "--jobs", "1"],
+     "--model lf needs at least 3 grid points, got 2"),
 ])
 def test_bad_input_exits_2_with_a_message(name, flags, message):
     done = run_script(name, *flags, status=2)

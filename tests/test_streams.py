@@ -74,8 +74,13 @@ def test_first_block_matches_random_raw():
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, HUGE_N])
 def test_index_matches_integers(n):
     pids = np.arange(600)
-    got = stage_draws(n, pids).index()
+    draws = stage_draws(n, pids)
+    got = draws.index()
     assert got.tolist() == [int(fresh(pid).integers(n)) for pid in pids]
+    # A fan-out of one is the same draw, row for row.
+    rows, values = draws.fanout(pids, np.ones(pids.size, dtype=np.int64))
+    assert rows.tolist() == pids.tolist()
+    assert values.tolist() == got.tolist()
 
 
 def test_huge_range_exercises_rejection():
@@ -87,7 +92,9 @@ def test_huge_range_exercises_rejection():
 def test_index_of_listed_rows():
     draws = stage_draws(HUGE_N, np.arange(40))
     rows = np.array([1, 5, 6, 30])
-    assert draws.index(rows).tolist() == [int(fresh(r).integers(HUGE_N)) for r in rows]
+    got_rows, values = draws.fanout(rows, np.ones(rows.size, dtype=np.int64))
+    assert got_rows.tolist() == rows.tolist()
+    assert values.tolist() == [int(fresh(r).integers(HUGE_N)) for r in rows]
 
 
 @pytest.mark.parametrize("n", [1, 3, 16, HUGE_N])
@@ -215,7 +222,6 @@ def test_window_decoded_draws_match_raw_words(n):
             assert np.array_equal(got.words, want.words)
             assert got.index().tolist() == want.index().tolist()
             rows = np.arange(0, pids.size, 2)
-            assert got.index(rows).tolist() == want.index(rows).tolist()
             k = np.array([1, 3, 9, 20])[rows % 4]
             for a, b in zip(got.fanout(rows, k), want.fanout(rows, k)):
                 assert a.tolist() == b.tolist()
